@@ -16,11 +16,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test race fuzz-smoke bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test race fuzz-smoke bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-kernel-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
 all: check bench-obs bench-shard bench-partition bench-wal bench-read bench-reshard bench-trace bench-serve bench-repl
 
-check: fmt-check vet build test race bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test race bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-kernel-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -109,6 +109,13 @@ bench-read:
 # committing a result file.
 bench-read-smoke:
 	$(GO) run ./cmd/rexpbench -readscale -objects 2000 -duration 0.2 -iolat 0 -readworkers 1,2 -guardmin 0.85 -quiet -readout - >/dev/null
+
+# The update-path kernels with allocation counts: the near-optimal TPBR
+# on a warm hull workspace (0 allocs/op) and the steady-state
+# delete-and-reinsert of a 20k-object tree.  100 iterations keep it a
+# smoke test; raise -benchtime for numbers worth comparing.
+bench-kernel-smoke:
+	$(GO) test -run '^$$' -bench 'NearOptimal|UpdateKernel' -benchmem -benchtime 100x ./internal/hull ./internal/core
 
 # What an online reshard costs the serving path: the same mixed
 # query/update load measured in steady state and again while the index

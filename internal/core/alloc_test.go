@@ -87,3 +87,23 @@ func BenchmarkNearestWarm(b *testing.B) {
 		}
 	}
 }
+
+// TestComputeBRAllocs pins the zero-allocation contract of the update
+// path's bounding-rectangle recomputation: with the tree's item buffer
+// and hull workspace warm, recomputing a full leaf's near-optimal
+// TPBR allocates nothing.
+func TestComputeBRAllocs(t *testing.T) {
+	tr := buildQueryTree(t, 2000)
+	root, err := tr.readNode(tr.root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leaf, err := tr.readNode(root.entries[0].child())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr.computeBR(leaf)
+	if a := testing.AllocsPerRun(100, func() { tr.computeBR(leaf) }); a != 0 {
+		t.Errorf("computeBR allocates %.1f objects per call, want 0", a)
+	}
+}

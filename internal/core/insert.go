@@ -23,7 +23,7 @@ type orphan struct {
 func (t *Tree) Insert(oid uint32, p geom.MovingPoint, now float64) error {
 	t.advance(now)
 	p = t.prepare(p)
-	t.reinsertedAt = make(map[int]bool)
+	t.reinsertedAt = 0
 	t.leafEntries++
 	t.tickUI()
 	if err := t.placeEntry(orphan{e: entry{id: oid, rect: geom.PointTPRect(p)}, level: 0}); err != nil {
@@ -149,7 +149,7 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 		}
 	}
 	rNew := r
-	rNew.TExp = t.decisionExp(r, n.level-1)
+	rNew.TExp = t.decisionExp(&r, n.level-1)
 	best := -1
 	bestEnl, bestArea := 0.0, 0.0
 	for i := range n.entries {
@@ -157,11 +157,12 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 		if t.isExpired(&e.rect, n.level) {
 			continue
 		}
-		er := e.rect
-		er.TExp = t.decisionExp(e.rect, n.level)
-		end := t.metricEnd(er.TExp, rNew.TExp)
-		area := geom.AreaIntegral(er, t.Now(), end, t.cfg.Dims)
-		union := geom.UnionConservative(er, rNew, t.Now(), t.cfg.Dims)
+		// The area integrals ignore expiration times, so the entry's
+		// rectangle is used as stored; only the integration bound
+		// depends on its decision expiry.
+		end := t.metricEnd(t.decisionExp(&e.rect, n.level), rNew.TExp)
+		area := geom.AreaIntegral(e.rect, t.Now(), end, t.cfg.Dims)
+		union := geom.UnionConservative(e.rect, rNew, t.Now(), t.cfg.Dims)
 		enl := geom.AreaIntegral(union, t.Now(), end, t.cfg.Dims) - area
 		if best < 0 || enl < bestEnl || (enl == bestEnl && area < bestArea) {
 			best, bestEnl, bestArea = i, enl, area
@@ -184,7 +185,7 @@ func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 // child exists.
 func (t *Tree) chooseChildOverlap(n *node, r geom.TPRect) int {
 	rNew := r
-	rNew.TExp = t.decisionExp(r, n.level-1)
+	rNew.TExp = t.decisionExp(&r, n.level-1)
 	best := -1
 	bestOv, bestEnl := 0.0, 0.0
 	for i := range n.entries {
@@ -193,7 +194,7 @@ func (t *Tree) chooseChildOverlap(n *node, r geom.TPRect) int {
 			continue
 		}
 		er := e.rect
-		er.TExp = t.decisionExp(e.rect, n.level)
+		er.TExp = t.decisionExp(&e.rect, n.level)
 		end := t.metricEnd(er.TExp, rNew.TExp)
 		union := geom.UnionConservative(er, rNew, t.Now(), t.cfg.Dims)
 		var dOv float64
@@ -234,10 +235,10 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 		}
 		switch {
 		case len(n.entries) > t.lay.cap(n.level):
-			if !isRoot && t.cfg.ReinsertFrac > 0 && !t.reinsertedAt[n.level] {
+			if bit := uint64(1) << n.level; !isRoot && t.cfg.ReinsertFrac > 0 && t.reinsertedAt&bit == 0 {
 				// PU1, first option: forced reinsertion, once per level
 				// per operation.
-				t.reinsertedAt[n.level] = true
+				t.reinsertedAt |= bit
 				moved := t.pickReinsert(n)
 				if t.met != nil {
 					t.met.ForcedReinserts.Inc()
@@ -364,7 +365,7 @@ func (t *Tree) shrinkRoot() error {
 // Eq. 1) and returns them ordered closest-first.
 func (t *Tree) pickReinsert(n *node) []entry {
 	nodeBR := t.computeBR(n)
-	end := t.metricEnd(t.decisionExp(nodeBR, n.level+1))
+	end := t.metricEnd(t.decisionExp(&nodeBR, n.level+1))
 	type scored struct {
 		e entry
 		d float64

@@ -20,6 +20,13 @@ import (
 // bounding rectangle evaluated at time at.  A bounding rectangle is a
 // valid bound at that instant because entries that expire before at
 // are skipped.
+//
+// at may not precede now, the time the caller admitted the query at.
+// It is checked against now rather than against this tree's clock,
+// which a concurrent update may already have advanced further: a
+// sharded front end validates the query once against its own clock
+// and passes that now to every shard, and a shard must not refuse what
+// the front end accepted (a timeslice at the same time is answered).
 func (t *Tree) Nearest(q geom.Vec, at float64, k int, now float64) ([]Result, error) {
 	return t.NearestStats(q, at, k, now, nil)
 }
@@ -29,8 +36,8 @@ func (t *Tree) Nearest(q geom.Vec, at float64, k int, now float64) ([]Result, er
 // identical to Nearest.
 func (t *Tree) NearestStats(q geom.Vec, at float64, k int, now float64, st *TravStats) ([]Result, error) {
 	t.advance(now)
-	if at < t.Now() {
-		return nil, errNearestPast(at, t.Now())
+	if at < now {
+		return nil, errNearestPast(at, now)
 	}
 	if k <= 0 {
 		return nil, nil
@@ -63,7 +70,7 @@ func (t *Tree) NearestStats(q geom.Vec, at float64, k int, now float64, st *Trav
 		for i := range n.entries {
 			e := &n.entries[i]
 			// Entries invalid at the query time cannot contribute.
-			if t.cfg.ExpireAware && t.effExp(e.rect, n.level) < at {
+			if t.cfg.ExpireAware && t.effExp(&e.rect, n.level) < at {
 				continue
 			}
 			if n.level == 0 {

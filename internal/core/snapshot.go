@@ -613,8 +613,8 @@ func (t *Tree) NearestSnapStats(q geom.Vec, at float64, k int, now float64, st *
 		st.PinNanos += time.Since(pinStart).Nanoseconds()
 	}
 	eval := t.Now()
-	if at < eval {
-		return nil, errNearestPast(at, eval)
+	if at < now {
+		return nil, errNearestPast(at, now)
 	}
 	if k <= 0 {
 		return nil, nil

@@ -50,11 +50,14 @@ type Tree struct {
 	timerStart    float64
 	ui            float64 // 0 until the first estimate is available
 
-	// Per-operation state.
-	reinsertedAt map[int]bool
+	// Per-operation state: bit l is set once level l has had its
+	// forced reinsertion in the current Insert or Delete.
+	reinsertedAt uint64
 
-	// scratch is the reusable item buffer of computeBR.
+	// scratch and hw are computeBR's reusable item buffer and hull
+	// workspace, so recomputing a bounding rectangle allocates nothing.
 	scratch []geom.TPRect
+	hw      hull.Workspace
 
 	// Snapshot read path state (see snapshot.go).  pub is the
 	// atomically published root descriptor; chains the per-page version
@@ -311,7 +314,7 @@ func (t *Tree) Stored(p geom.MovingPoint) geom.MovingPoint { return t.prepare(p)
 // internal entries when StoreBRExp is set), the derived expiration of
 // shrinking rectangles otherwise, and +Inf when the engine is not
 // expiration-aware.
-func (t *Tree) effExp(r geom.TPRect, level int) float64 {
+func (t *Tree) effExp(r *geom.TPRect, level int) float64 {
 	if !t.cfg.ExpireAware {
 		return math.Inf(1)
 	}
@@ -330,13 +333,13 @@ func (t *Tree) isExpired(r *geom.TPRect, level int) bool {
 	if level == 0 || t.cfg.StoreBRExp {
 		return r.TExp < t.Now()
 	}
-	return geom.DerivedExp(*r, t.Now(), t.cfg.Dims) < t.Now()
+	return geom.DerivedExp(r, t.Now(), t.cfg.Dims) < t.Now()
 }
 
 // decisionExp returns the expiration time the insertion heuristics use
 // for an entry (Eq. 1): the effective expiration when AlgsUseExp is
 // set, +Inf otherwise (§4.2.2).
-func (t *Tree) decisionExp(r geom.TPRect, level int) float64 {
+func (t *Tree) decisionExp(r *geom.TPRect, level int) float64 {
 	if !t.cfg.AlgsUseExp {
 		return math.Inf(1)
 	}
@@ -369,17 +372,32 @@ func (t *Tree) computeBR(n *node) geom.TPRect {
 	items := t.scratch[:len(n.entries)]
 	for i := range n.entries {
 		items[i] = n.entries[i].rect
-		items[i].TExp = t.effExp(n.entries[i].rect, n.level)
+		items[i].TExp = t.effExp(&items[i], n.level)
 	}
+	var perm [geom.MaxDims]int
 	var order []int
 	if t.cfg.BRKind == hull.KindNearOptimal {
-		order = t.rng.Perm(t.cfg.Dims)
+		order = t.dimOrder(&perm)
 	}
-	br := hull.Compute(t.cfg.BRKind, items, t.Now(), t.brHorizon(n.level), t.cfg.Dims, t.cfg.World, order)
+	br := t.hw.Compute(t.cfg.BRKind, items, t.Now(), t.brHorizon(n.level), t.cfg.Dims, t.cfg.World, order)
 	if !t.cfg.StoreBRExp {
 		br.TExp = math.Inf(1)
 	}
 	return t.roundBR(br)
+}
+
+// dimOrder draws the random dimension order of a near-optimal
+// bounding rectangle into perm and returns it.  It consumes the tree's
+// random source exactly as rand.Perm(Dims) would — one Intn(i+1) per
+// dimension, the same inside-out shuffle — so the order, and every
+// rectangle computed from it, is unchanged, but nothing is allocated.
+func (t *Tree) dimOrder(perm *[geom.MaxDims]int) []int {
+	for i := 0; i < t.cfg.Dims; i++ {
+		j := t.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
+	return perm[:t.cfg.Dims]
 }
 
 // roundBR rounds a bounding rectangle outward to the float32 precision
@@ -523,9 +541,18 @@ func (t *Tree) purgeNode(n *node) error {
 	if !t.cfg.ExpireAware {
 		return nil
 	}
-	keep := n.entries[:0]
+	first := 0
+	for first < len(n.entries) && !t.isExpired(&n.entries[first].rect, n.level) {
+		first++
+	}
+	if first == len(n.entries) {
+		return nil // nothing expired: leave the node untouched
+	}
+	// Entries before the first expired one are already in place; only
+	// the tail is compacted.
+	keep := n.entries[:first]
 	dropped, freed := 0, 0
-	for i := range n.entries {
+	for i := first; i < len(n.entries); i++ {
 		e := &n.entries[i]
 		if !t.isExpired(&e.rect, n.level) {
 			keep = append(keep, *e)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -575,5 +576,25 @@ func TestOracle1D(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDimOrderMatchesPerm checks that the in-place dimension order
+// draws the same permutations, from the same random sequence, as
+// rand.Perm, so the bounding rectangles — and every recorded figure —
+// do not depend on which of the two draws them.
+func TestDimOrderMatchesPerm(t *testing.T) {
+	for dims := 1; dims <= geom.MaxDims; dims++ {
+		for seed := int64(0); seed < 5; seed++ {
+			tr := &Tree{cfg: Config{Dims: dims}, rng: rand.New(rand.NewSource(seed))}
+			ref := rand.New(rand.NewSource(seed))
+			var perm [geom.MaxDims]int
+			for i := 0; i < 200; i++ {
+				got, want := tr.dimOrder(&perm), ref.Perm(dims)
+				if !slices.Equal(got, want) {
+					t.Fatalf("dims %d seed %d draw %d: dimOrder %v, rand.Perm %v", dims, seed, i, got, want)
+				}
+			}
+		}
 	}
 }

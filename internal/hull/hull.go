@@ -51,43 +51,56 @@ func sortPts(pts []pt) {
 }
 
 // upperChainSorted returns the upper convex hull of pts, which must
-// already be sorted by t ascending.  The hull is built in place over a
-// fresh slice; pts is not modified.
+// already be sorted by t ascending, in a fresh slice; pts is not
+// modified.
 func upperChainSorted(pts []pt) []pt {
 	h := make([]pt, 0, len(pts))
 	for _, p := range pts {
-		// Keep only the topmost point per τ.
-		if len(h) > 0 && h[len(h)-1].t == p.t {
-			if h[len(h)-1].x >= p.x {
-				continue
-			}
-			h = h[:len(h)-1]
-		}
-		for len(h) >= 2 && cross(h[len(h)-2], h[len(h)-1], p) >= 0 {
-			h = h[:len(h)-1]
-		}
-		h = append(h, p)
+		h = pushUpper(h, p)
 	}
 	return h
 }
 
 // lowerChainSorted returns the lower convex hull of pts, which must
-// already be sorted by t ascending.
+// already be sorted by t ascending, in a fresh slice.
 func lowerChainSorted(pts []pt) []pt {
 	h := make([]pt, 0, len(pts))
 	for _, p := range pts {
-		if len(h) > 0 && h[len(h)-1].t == p.t {
-			if h[len(h)-1].x <= p.x {
-				continue
-			}
-			h = h[:len(h)-1]
-		}
-		for len(h) >= 2 && cross(h[len(h)-2], h[len(h)-1], p) <= 0 {
-			h = h[:len(h)-1]
-		}
-		h = append(h, p)
+		h = pushLower(h, p)
 	}
 	return h
+}
+
+// pushUpper adds one point, at a τ no earlier than the chain's last,
+// to the upper chain h (Andrew's monotone chain).  Among points with
+// equal τ only the topmost survives, whatever order they arrive in, so
+// any τ-ascending input order yields the same chain.
+func pushUpper(h []pt, p pt) []pt {
+	if len(h) > 0 && h[len(h)-1].t == p.t {
+		if h[len(h)-1].x >= p.x {
+			return h
+		}
+		h = h[:len(h)-1]
+	}
+	for len(h) >= 2 && cross(h[len(h)-2], h[len(h)-1], p) >= 0 {
+		h = h[:len(h)-1]
+	}
+	return append(h, p)
+}
+
+// pushLower is the mirror of pushUpper: the bottommost point per τ
+// survives.
+func pushLower(h []pt, p pt) []pt {
+	if len(h) > 0 && h[len(h)-1].t == p.t {
+		if h[len(h)-1].x <= p.x {
+			return h
+		}
+		h = h[:len(h)-1]
+	}
+	for len(h) >= 2 && cross(h[len(h)-2], h[len(h)-1], p) <= 0 {
+		h = h[:len(h)-1]
+	}
+	return append(h, p)
 }
 
 // upperChain sorts pts in place and returns their upper convex hull.
@@ -130,11 +143,6 @@ func bridgeOf(h []pt, m float64) line {
 // keeping it above every point.
 func upperBridge(pts []pt, m, minSlope float64) line {
 	sortPts(pts)
-	return upperBridgeSorted(pts, m, minSlope)
-}
-
-// upperBridgeSorted is upperBridge for pts already sorted by t.
-func upperBridgeSorted(pts []pt, m, minSlope float64) line {
 	return upperBridgeHull(upperChainSorted(pts), m, minSlope)
 }
 
@@ -160,11 +168,6 @@ func upperBridgeHull(hull []pt, m, minSlope float64) line {
 // all points whose slope is lowered to at most maxSlope.
 func lowerBridge(pts []pt, m, maxSlope float64) line {
 	sortPts(pts)
-	return lowerBridgeSorted(pts, m, maxSlope)
-}
-
-// lowerBridgeSorted is lowerBridge for pts already sorted by t.
-func lowerBridgeSorted(pts []pt, m, maxSlope float64) line {
 	return lowerBridgeHull(lowerChainSorted(pts), m, maxSlope)
 }
 

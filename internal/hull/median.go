@@ -1,9 +1,15 @@
 package hull
 
+import "rexptree/internal/geom"
+
 // polyMul multiplies polynomial p (coefficients by ascending power)
 // by the linear factor (h + w·τ).
 func polyMul(p []float64, h, w float64) []float64 {
-	out := make([]float64, len(p)+1)
+	return polyMulInto(make([]float64, len(p)+1), p, h, w)
+}
+
+// polyMulInto is polyMul into out, which must hold len(p)+1 zeros.
+func polyMulInto(out, p []float64, h, w float64) []float64 {
 	for i, c := range p {
 		out[i] += c * h
 		out[i+1] += c * w
@@ -19,9 +25,20 @@ func polyMul(p []float64, h, w float64) []float64 {
 // With no computed dimensions the hyper-volume polynomial is the
 // constant 1 and m = Φ/2, recovering Lemma 4.1.
 func median(h, w []float64, phi float64) float64 {
-	c := []float64{1}
+	// The product polynomials alternate between two stack buffers,
+	// which hold the at most MaxDims-1 factors of a bounding rectangle.
+	var buf [2][geom.MaxDims + 1]float64
+	buf[0][0] = 1
+	c := buf[0][:1]
 	for k := range h {
-		c = polyMul(c, h[k], w[k])
+		var out []float64
+		if len(c) < len(buf[0]) {
+			out = buf[(k+1)%2][:len(c)+1]
+			clear(out)
+		} else {
+			out = make([]float64, len(c)+1)
+		}
+		c = polyMulInto(out, c, h[k], w[k])
 	}
 	var num, den float64
 	pw := phi // Φ^(i+1)

@@ -62,8 +62,8 @@ func Optimal(items []geom.TPRect, tupd, horizon float64, dims int) geom.TPRect {
 	if dims == 1 {
 		return NearOptimal(items, tupd, horizon, dims, []int{0})
 	}
-	phi := effPhi(items, tupd, horizon)
 	texp := maxExp(items)
+	phi := effPhi(texp, tupd, horizon)
 
 	type dimData struct {
 		upHull, loHull   []pt
@@ -128,18 +128,9 @@ func Optimal(items []geom.TPRect, tupd, horizon float64, dims int) geom.TPRect {
 
 // Compute dispatches to the bounding-rectangle computation selected by
 // kind.  world is only used by KindStatic; order (a permutation of
-// 0..dims-1) only by KindNearOptimal.
+// 0..dims-1) only by KindNearOptimal.  It uses a fresh Workspace; see
+// Workspace.Compute for the allocation-free form.
 func Compute(kind Kind, items []geom.TPRect, tupd, horizon float64, dims int, world geom.Rect, order []int) geom.TPRect {
-	switch kind {
-	case KindStatic:
-		return Static(items, tupd, dims, world)
-	case KindUpdateMinimum:
-		return UpdateMinimum(items, tupd, dims)
-	case KindNearOptimal:
-		return NearOptimal(items, tupd, horizon, dims, order)
-	case KindOptimal:
-		return Optimal(items, tupd, horizon, dims)
-	default:
-		return Conservative(items, tupd, dims)
-	}
+	var ws Workspace
+	return ws.Compute(kind, items, tupd, horizon, dims, world, order)
 }

@@ -39,7 +39,7 @@ func TestOptimalDominates(t *testing.T) {
 		now := rng.Float64() * 20
 		items := randItems(rng, 2+rng.Intn(15), 2, now, false)
 		horizon := 5 + rng.Float64()*60
-		phi := effPhi(items, now, horizon)
+		phi := effPhi(maxExp(items), now, horizon)
 		opt := Optimal(items, now, horizon, 2)
 		optArea := geom.AreaIntegral(opt, now, now+phi, 2)
 		for _, k := range []Kind{KindConservative, KindStatic, KindUpdateMinimum, KindNearOptimal} {
@@ -59,7 +59,7 @@ func TestNearOptimalCloseToOptimal(t *testing.T) {
 	var sumOpt, sumNear float64
 	for iter := 0; iter < 100; iter++ {
 		items := randItems(rng, 5+rng.Intn(15), 2, 0, false)
-		phi := effPhi(items, 0, 40)
+		phi := effPhi(maxExp(items), 0, 40)
 		opt := Optimal(items, 0, 40, 2)
 		near := NearOptimal(items, 0, 40, 2, rng.Perm(2))
 		sumOpt += geom.AreaIntegral(opt, 0, phi, 2)
@@ -80,7 +80,7 @@ func TestSweepPairsCoverAllMedians(t *testing.T) {
 		up, lo, minUp, maxLo := dimPoints(items, 0, 0)
 		sortPts(up)
 		sortPts(lo)
-		phi := effPhi(items, 0, 30)
+		phi := effPhi(maxExp(items), 0, 30)
 		pairs := sweepPairs(up, lo, phi, minUp, maxLo)
 		if len(pairs) == 0 {
 			t.Fatal("no sweep pairs")

@@ -2,7 +2,6 @@ package hull
 
 import (
 	"math"
-	"slices"
 
 	"rexptree/internal/geom"
 )
@@ -51,20 +50,21 @@ func (k Kind) String() string {
 // item never expires).
 func maxExp(items []geom.TPRect) float64 {
 	e := math.Inf(-1)
-	for _, it := range items {
-		if it.TExp > e {
-			e = it.TExp
+	for i := range items {
+		if items[i].TExp > e {
+			e = items[i].TExp
 		}
 	}
 	return e
 }
 
-// effPhi returns Φ = min(horizon, t_expmax - t_upd), floored at a tiny
-// positive value so the median is always well defined.
-func effPhi(items []geom.TPRect, tupd, horizon float64) float64 {
+// effPhi returns Φ = min(horizon, texpMax - t_upd), floored at a tiny
+// positive value so the median is always well defined.  texpMax is
+// maxExp of the items.
+func effPhi(texpMax, tupd, horizon float64) float64 {
 	phi := horizon
-	if e := maxExp(items); geom.IsFinite(e) && e-tupd < phi {
-		phi = e - tupd
+	if geom.IsFinite(texpMax) && texpMax-tupd < phi {
+		phi = texpMax - tupd
 	}
 	if phi < 1e-9 {
 		phi = 1e-9
@@ -80,7 +80,8 @@ func Conservative(items []geom.TPRect, tupd float64, dims int) geom.TPRect {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 		vlo[i], vhi[i] = math.Inf(1), math.Inf(-1)
 	}
-	for _, it := range items {
+	for k := range items {
+		it := &items[k]
 		s := it.At(tupd)
 		for i := 0; i < dims; i++ {
 			lo[i] = math.Min(lo[i], s.Lo[i])
@@ -100,7 +101,8 @@ func Static(items []geom.TPRect, tupd float64, dims int, world geom.Rect) geom.T
 	for i := 0; i < dims; i++ {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 	}
-	for _, it := range items {
+	for k := range items {
+		it := &items[k]
 		s := it.At(tupd)
 		for i := 0; i < dims; i++ {
 			lo[i] = math.Min(lo[i], s.Lo[i])
@@ -131,8 +133,8 @@ func UpdateMinimum(items []geom.TPRect, tupd float64, dims int) geom.TPRect {
 	for i := 0; i < dims; i++ {
 		lo[i], hi[i] = math.Inf(1), math.Inf(-1)
 	}
-	for _, it := range items {
-		s := it.At(tupd)
+	for k := range items {
+		s := items[k].At(tupd)
 		for i := 0; i < dims; i++ {
 			lo[i] = math.Min(lo[i], s.Lo[i])
 			hi[i] = math.Max(hi[i], s.Hi[i])
@@ -141,7 +143,8 @@ func UpdateMinimum(items []geom.TPRect, tupd float64, dims int) geom.TPRect {
 	for i := 0; i < dims; i++ {
 		vl, vh := math.Inf(1), math.Inf(-1)
 		any := false
-		for _, it := range items {
+		for k := range items {
+			it := &items[k]
 			switch {
 			case !geom.IsFinite(it.TExp):
 				vl = math.Min(vl, it.VLo[i])
@@ -173,7 +176,8 @@ func UpdateMinimum(items []geom.TPRect, tupd float64, dims int) geom.TPRect {
 func dimPoints(items []geom.TPRect, tupd float64, i int) (up, lo []pt, minUpSlope, maxLoSlope float64) {
 	minUpSlope, maxLoSlope = math.Inf(-1), math.Inf(1)
 	xmax, xmin := math.Inf(-1), math.Inf(1)
-	for _, it := range items {
+	for k := range items {
+		it := &items[k]
 		s := it.At(tupd)
 		xmax = math.Max(xmax, s.Hi[i])
 		xmin = math.Min(xmin, s.Lo[i])
@@ -197,71 +201,14 @@ func dimPoints(items []geom.TPRect, tupd float64, i int) (up, lo []pt, minUpSlop
 // no dimension is preferred); each dimension's bridges are found at
 // the median adjusted for the dimensions already computed (Lemma 4.2).
 //
-// This sits on the engine's hot path (the bounding rectangle of every
-// modified node is recomputed per update), so the expiry order — which
-// is shared by all dimensions — is sorted once and the per-dimension
-// endpoint lists are built already sorted.
+// The bridges come from the upper and lower hull chains of the
+// endpoints at each item's expiration time.  The expiry order is the
+// same in every dimension, so it is sorted once; any ascending order
+// gives bit-identical chains, because a chain keeps only the extreme
+// endpoint per τ.  This wrapper uses a fresh Workspace; the engine,
+// which recomputes the TPBR of every modified node per update, keeps
+// one per tree so that call allocates nothing.
 func NearOptimal(items []geom.TPRect, tupd, horizon float64, dims int, order []int) geom.TPRect {
-	phi := effPhi(items, tupd, horizon)
-
-	// Indices of items with finite, unexpired expiry, sorted by expiry.
-	type expKey struct {
-		texp float64
-		i    int32
-	}
-	keys := make([]expKey, 0, len(items))
-	for i := range items {
-		if geom.IsFinite(items[i].TExp) && items[i].TExp > tupd {
-			keys = append(keys, expKey{items[i].TExp, int32(i)})
-		}
-	}
-	slices.SortFunc(keys, func(a, b expKey) int {
-		switch {
-		case a.texp < b.texp:
-			return -1
-		case a.texp > b.texp:
-			return 1
-		}
-		return 0
-	})
-
-	up := make([]pt, 0, len(keys)+1)
-	loPts := make([]pt, 0, len(keys)+1)
-	var lo, hi, vlo, vhi geom.Vec
-	var hs, ws [geom.MaxDims]float64
-	computed := 0
-	for _, d := range order {
-		xmax, xmin := math.Inf(-1), math.Inf(1)
-		minUp, maxLo := math.Inf(-1), math.Inf(1)
-		for i := range items {
-			it := &items[i]
-			if h := it.Hi[d] + it.VHi[d]*tupd; h > xmax {
-				xmax = h
-			}
-			if l := it.Lo[d] + it.VLo[d]*tupd; l < xmin {
-				xmin = l
-			}
-			if !geom.IsFinite(it.TExp) {
-				minUp = math.Max(minUp, it.VHi[d])
-				maxLo = math.Min(maxLo, it.VLo[d])
-			}
-		}
-		up = append(up[:0], pt{0, xmax})
-		loPts = append(loPts[:0], pt{0, xmin})
-		for _, k := range keys {
-			it := &items[k.i]
-			tau := k.texp - tupd
-			up = append(up, pt{tau, it.Hi[d] + it.VHi[d]*k.texp})
-			loPts = append(loPts, pt{tau, it.Lo[d] + it.VLo[d]*k.texp})
-		}
-		m := median(hs[:computed], ws[:computed], phi)
-		u := upperBridgeSorted(up, m, minUp)
-		l := lowerBridgeSorted(loPts, m, maxLo)
-		lo[d], vlo[d] = l.a, l.b
-		hi[d], vhi[d] = u.a, u.b
-		hs[computed] = u.a - l.a
-		ws[computed] = u.b - l.b
-		computed++
-	}
-	return geom.TPRectAt(tupd, geom.Rect{Lo: lo, Hi: hi}, vlo, vhi, maxExp(items), dims)
+	var ws Workspace
+	return ws.NearOptimal(items, tupd, horizon, dims, order)
 }

@@ -221,18 +221,18 @@ func TestComputeDispatch(t *testing.T) {
 
 func TestEffPhi(t *testing.T) {
 	items := []geom.TPRect{{TExp: 50}, {TExp: 80}}
-	if got := effPhi(items, 10, 100); got != 70 {
+	if got := effPhi(maxExp(items), 10, 100); got != 70 {
 		t.Errorf("effPhi = %v, want 70 (texpmax-tupd)", got)
 	}
-	if got := effPhi(items, 10, 30); got != 30 {
+	if got := effPhi(maxExp(items), 10, 30); got != 30 {
 		t.Errorf("effPhi = %v, want 30 (horizon)", got)
 	}
 	inf := []geom.TPRect{{TExp: geom.Inf()}}
-	if got := effPhi(inf, 10, 30); got != 30 {
+	if got := effPhi(maxExp(inf), 10, 30); got != 30 {
 		t.Errorf("effPhi infinite = %v, want horizon", got)
 	}
 	expired := []geom.TPRect{{TExp: 5}}
-	if got := effPhi(expired, 10, 30); got <= 0 {
+	if got := effPhi(maxExp(expired), 10, 30); got <= 0 {
 		t.Errorf("effPhi must stay positive, got %v", got)
 	}
 }

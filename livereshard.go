@@ -186,7 +186,8 @@ func (l *liveReshard) aborted() error {
 
 // ReshardStatus reports the state of the live-reshard engine.
 type ReshardStatus struct {
-	// InFlight is true while a reshard's dual-apply window is open.
+	// InFlight is true from the moment a reshard is admitted until
+	// its outcome is recorded in LastError.
 	InFlight bool
 
 	// Phase is "scan", "backfill" or "cutover" while in flight, else
@@ -221,6 +222,12 @@ func (s *ShardedTree) ReshardStatus() ReshardStatus {
 		Shards:     len(g.shards),
 		Policy:     g.part.policy().String(),
 	}
+	s.statusMu.Lock()
+	admitted := s.admitted
+	if s.lastReshardErr != nil {
+		st.LastError = s.lastReshardErr.Error()
+	}
+	s.statusMu.Unlock()
 	if lr := s.lr.Load(); lr != nil {
 		st.InFlight = true
 		st.Phase = reshardPhaseNames[lr.phase.Load()]
@@ -229,12 +236,14 @@ func (s *ShardedTree) ReshardStatus() ReshardStatus {
 		st.Scanned = lr.scanned.Load()
 		st.Backfilled = lr.backfilled.Load()
 		st.DualApplied = lr.applied.Load()
+	} else if admitted != nil {
+		// Admitted, but the dual-apply window is not open yet (or has
+		// just closed and the outcome is being recorded).
+		st.InFlight = true
+		st.Phase = reshardPhaseNames[reshardPhaseScan]
+		st.Shards = admitted.Shards
+		st.Policy = admitted.Policy.String()
 	}
-	s.statusMu.Lock()
-	if s.lastReshardErr != nil {
-		st.LastError = s.lastReshardErr.Error()
-	}
-	s.statusMu.Unlock()
 	return st
 }
 
@@ -242,8 +251,14 @@ func (s *ShardedTree) ReshardStatus() ReshardStatus {
 // whether one was in flight.  The abort is acknowledged at the
 // engine's next cancellation check, never after the commit point.
 func (s *ShardedTree) CancelReshard() bool {
+	s.statusMu.Lock()
+	defer s.statusMu.Unlock()
 	if lr := s.lr.Load(); lr != nil {
 		lr.cancel()
+		return true
+	}
+	if s.admitted != nil {
+		s.cancelAdmitted = true // runLiveReshard applies it on publication
 		return true
 	}
 	return false
@@ -258,28 +273,33 @@ func (s *ShardedTree) Reshard(spec ReshardSpec) error {
 	if err != nil {
 		return err
 	}
-	if !s.reshardMu.TryLock() {
-		return ErrReshardInFlight
-	}
-	defer s.reshardMu.Unlock()
-	if s.closing.Load() {
-		return errIndexClosed
+	if err := s.admitReshard(spec); err != nil {
+		return err
 	}
 	err = s.runLiveReshard(spec, derived)
-	s.statusMu.Lock()
-	s.lastReshardErr = err
-	s.statusMu.Unlock()
+	s.finishReshard(err)
 	return err
 }
 
 // StartReshard is Reshard running in the background: it returns once
 // the reshard is admitted (ErrReshardInFlight when one already runs),
-// and the outcome is reported by ReshardStatus.LastError.
+// and the outcome is reported by ReshardStatus.LastError.  The status
+// shows the reshard in flight as soon as StartReshard returns nil.
 func (s *ShardedTree) StartReshard(spec ReshardSpec) error {
 	spec, derived, err := s.normalizeSpec(spec)
 	if err != nil {
 		return err
 	}
+	if err := s.admitReshard(spec); err != nil {
+		return err
+	}
+	go func() { s.finishReshard(s.runLiveReshard(spec, derived)) }()
+	return nil
+}
+
+// admitReshard takes the single reshard slot for spec and marks it in
+// flight; finishReshard records the outcome and releases the slot.
+func (s *ShardedTree) admitReshard(spec ReshardSpec) error {
 	if !s.reshardMu.TryLock() {
 		return ErrReshardInFlight
 	}
@@ -288,16 +308,19 @@ func (s *ShardedTree) StartReshard(spec ReshardSpec) error {
 		return errIndexClosed
 	}
 	s.statusMu.Lock()
+	s.admitted = &spec
+	s.cancelAdmitted = false
 	s.lastReshardErr = nil
 	s.statusMu.Unlock()
-	go func() {
-		defer s.reshardMu.Unlock()
-		err := s.runLiveReshard(spec, derived)
-		s.statusMu.Lock()
-		s.lastReshardErr = err
-		s.statusMu.Unlock()
-	}()
 	return nil
+}
+
+func (s *ShardedTree) finishReshard(err error) {
+	s.statusMu.Lock()
+	s.admitted = nil
+	s.lastReshardErr = err
+	s.statusMu.Unlock()
+	s.reshardMu.Unlock()
 }
 
 // normalizeSpec fills defaults and validates; derived reports that the
@@ -364,6 +387,9 @@ func (s *ShardedTree) hook(point string) error {
 // runLiveReshard is the engine; the caller holds reshardMu for the
 // whole run.  derived marks spec.SpeedBands as self-tuned.
 func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
+	if err := s.hook("admit"); err != nil {
+		return err
+	}
 	cur := s.cur.Load()
 	newGen := cur.gen + 1
 
@@ -410,6 +436,11 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 	}
 	s.lr.Store(lr)
 	s.rerouteMu.Unlock()
+	s.statusMu.Lock()
+	if s.cancelAdmitted {
+		lr.cancel()
+	}
+	s.statusMu.Unlock()
 
 	// Phase 1: scan a snapshot of every current shard over the
 	// lock-free read path, at the highest clock any shard has applied.

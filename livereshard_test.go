@@ -620,6 +620,71 @@ func TestLiveReshardStatusAndCancel(t *testing.T) {
 	}
 }
 
+// TestReshardInFlightFromAdmission pins the admission window: once
+// StartReshard returns nil the status reports the reshard in flight —
+// even while the engine has not yet opened its dual-apply window — and
+// keeps doing so until the terminal status is recorded.  A cancel in
+// that window is honored.
+func TestReshardInFlightFromAdmission(t *testing.T) {
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.UpdateBatch(testWorkload(300, 3), 1); err != nil {
+		t.Fatal(err)
+	}
+
+	run := func(cancel bool) ReshardStatus {
+		hold := make(chan struct{})
+		entered := make(chan struct{})
+		s.testReshardHook = func(pt string) error {
+			if pt == "admit" {
+				close(entered)
+				<-hold
+			}
+			return nil
+		}
+		spec := ReshardSpec{Shards: 2, Policy: PartitionSpeed, SpeedBands: []float64{1.0}}
+		if err := s.StartReshard(spec); err != nil {
+			t.Fatal(err)
+		}
+		// The engine goroutine may not have started yet.
+		st := s.ReshardStatus()
+		if !st.InFlight || st.Phase != "scan" || st.Shards != 2 || st.Policy != "speed" {
+			t.Fatalf("status right after StartReshard = %+v, want in flight to 2 speed shards", st)
+		}
+		<-entered
+		if st := s.ReshardStatus(); !st.InFlight {
+			t.Fatalf("status before the dual-apply window = %+v, want in flight", st)
+		}
+		if cancel && !s.CancelReshard() {
+			t.Fatal("CancelReshard found nothing in flight during admission")
+		}
+		close(hold)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			st := s.ReshardStatus()
+			if !st.InFlight {
+				return st
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("reshard still in flight: %+v", st)
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+
+	st := run(true)
+	if !strings.Contains(st.LastError, "canceled") || st.Generation != 0 {
+		t.Fatalf("terminal status after cancel in admission = %+v", st)
+	}
+	st = run(false)
+	if st.LastError != "" || st.Generation != 1 || st.Shards != 2 || st.Policy != "speed" || st.Phase != "idle" {
+		t.Fatalf("terminal status = %+v, want committed generation 1 on 2 speed shards", st)
+	}
+}
+
 // TestAutoReshardSkewTrigger gives a speed-partitioned index band
 // boundaries far above every real speed — so all objects pile into
 // shard 0 — and checks the drift detector notices the skew, reshards

@@ -168,7 +168,13 @@ type ShardedTree struct {
 	autoStop  chan struct{}
 	autoDone  chan struct{}
 
+	// statusMu guards the reshard status.  admitted is the spec of the
+	// reshard holding reshardMu, from admission until its outcome is
+	// recorded in lastReshardErr; cancelAdmitted is a CancelReshard
+	// that arrived before that reshard's dual-apply window opened.
 	statusMu       sync.Mutex
+	admitted       *ReshardSpec
+	cancelAdmitted bool
 	lastReshardErr error
 
 	// testReshardHook, when set, is invoked at every live-reshard
