@@ -43,9 +43,10 @@ race:
 	$(GO) test -race ./...
 
 # A short run of each native fuzz target: the manifest decode/encode
-# round trip, the time-parameterized intersection kernel, and the
+# round trip, the time-parameterized intersection kernel, the
 # write-ahead-log frame scanner (arbitrary bytes must never panic and
-# torn tails must only ever drop trailing records).  Ten seconds each
+# torn tails must only ever drop trailing records), and rexpd's
+# untrusted inputs (ingest lines, query parameters).  Ten seconds each
 # is enough to shake out regressions in the properties; leave the
 # targets running longer locally when hunting.
 fuzz-smoke:
@@ -54,6 +55,8 @@ fuzz-smoke:
 	$(GO) test ./internal/wal -run '^$$' -fuzz FuzzWALRoundTrip -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDualApplySchedule -fuzztime 10s
 	$(GO) test ./internal/repl -run '^$$' -fuzz FuzzReplFrameRoundTrip -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzIngestRecord -fuzztime 10s
+	$(GO) test ./internal/server -run '^$$' -fuzz FuzzQueryParams -fuzztime 10s
 
 # Compares instrumented vs. nil-metrics Update/query throughput; the
 # observability layer's budget is a <2% regression.

@@ -72,21 +72,8 @@ func (m Manifest) Validate() error {
 	if m.Partition == "hash" && len(m.SpeedBands) > 0 {
 		return fmt.Errorf("manifest: speed bands recorded for hash partitioning")
 	}
-	if len(m.SpeedBands) > 0 {
-		if len(m.SpeedBands) != m.Shards-1 {
-			return fmt.Errorf("manifest: %d speed bands for %d shards, want %d", len(m.SpeedBands), m.Shards, m.Shards-1)
-		}
-		for i, b := range m.SpeedBands {
-			if math.IsNaN(b) || math.IsInf(b, 0) {
-				return fmt.Errorf("manifest: speed band %d is not finite", i)
-			}
-			// Equal neighbors are tolerated (an empty band): self-tuned
-			// quantile boundaries can coincide on degenerate speed
-			// distributions, and the tree persists its own tuned bands.
-			if b < 0 || (i > 0 && b < m.SpeedBands[i-1]) {
-				return fmt.Errorf("manifest: speed bands must be non-negative and non-descending, got %v", m.SpeedBands)
-			}
-		}
+	if err := ValidateBands(m.SpeedBands, m.Shards); err != nil {
+		return err
 	}
 	if m.Generation < 0 {
 		return fmt.Errorf("manifest: invalid generation %d", m.Generation)
@@ -95,6 +82,30 @@ func (m Manifest) Validate() error {
 	case "", "none", "on-commit", "batched":
 	default:
 		return fmt.Errorf("manifest: unknown durability policy %q", m.Durability)
+	}
+	return nil
+}
+
+// ValidateBands checks the |velocity| band boundaries of a speed
+// partition over shards shards: exactly shards-1 finite, non-negative,
+// non-descending values.  Equal neighbors are tolerated (an empty
+// band): self-tuned quantile boundaries can coincide on degenerate
+// speed distributions, and the tree persists its own tuned bands.  An
+// empty set is valid: the bands are not fixed yet.
+func ValidateBands(bands []float64, shards int) error {
+	if len(bands) == 0 {
+		return nil
+	}
+	if len(bands) != shards-1 {
+		return fmt.Errorf("manifest: %d speed bands for %d shards, want %d", len(bands), shards, shards-1)
+	}
+	for i, b := range bands {
+		if math.IsNaN(b) || math.IsInf(b, 0) {
+			return fmt.Errorf("manifest: speed band %d is not finite", i)
+		}
+		if b < 0 || (i > 0 && b < bands[i-1]) {
+			return fmt.Errorf("manifest: speed bands must be non-negative and non-descending, got %v", bands)
+		}
 	}
 	return nil
 }

@@ -149,7 +149,9 @@ func parseTime(s string, now float64) (float64, error) {
 		return 0, fmt.Errorf("time %q is not a finite number", s)
 	}
 	if rel {
-		return now + f, nil
+		if f += now; math.IsInf(f, 0) {
+			return 0, fmt.Errorf("time %q overflows the clock %v", s, now)
+		}
 	}
 	return f, nil
 }

@@ -350,17 +350,8 @@ func (s *ShardedTree) normalizeSpec(spec ReshardSpec) (ReshardSpec, bool, error)
 			derived = true
 		}
 	}
-	if len(spec.SpeedBands) > 0 {
-		if len(spec.SpeedBands) != spec.Shards-1 {
-			return spec, false, fmt.Errorf("rexptree: %d speed bands for %d shards, want %d", len(spec.SpeedBands), spec.Shards, spec.Shards-1)
-		}
-		for i, b := range spec.SpeedBands {
-			// Equal neighbors are allowed (quantiles of a degenerate
-			// distribution coincide); descending or negative are not.
-			if !(b >= 0) || (i > 0 && b < spec.SpeedBands[i-1]) {
-				return spec, false, fmt.Errorf("rexptree: speed bands must be non-negative and non-descending, got %v", spec.SpeedBands)
-			}
-		}
+	if err := manifest.ValidateBands(spec.SpeedBands, spec.Shards); err != nil {
+		return spec, false, fmt.Errorf("rexptree: %w", err)
 	}
 	return spec, derived, nil
 }

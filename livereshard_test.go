@@ -170,13 +170,25 @@ func TestLiveReshardBadSpec(t *testing.T) {
 		{Shards: -1, Policy: PartitionHash},
 		{Shards: 2, Policy: PartitionPolicy(9)},
 		{Shards: 2, Policy: PartitionHash, SpeedBands: []float64{1}},
-		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{1}},          // wrong count
-		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{2, 1}},       // descending
-		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{-1, 1}},      // negative
-		{Shards: 2, Policy: PartitionSpeed, SpeedBands: []float64{math.NaN()}}, // not finite
+		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{1}},              // wrong count
+		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{2, 1}},           // descending
+		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{-1, 1}},          // negative
+		{Shards: 2, Policy: PartitionSpeed, SpeedBands: []float64{math.NaN()}},     // not finite
+		{Shards: 2, Policy: PartitionSpeed, SpeedBands: []float64{math.Inf(1)}},    // not finite
+		{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{1, math.Inf(1)}}, // not finite
 	} {
+		// A bad spec is refused at admission, before the engine runs any
+		// phase (admit, scan, ...).
+		var phases []string
+		s.testReshardHook = func(point string) error {
+			phases = append(phases, point)
+			return nil
+		}
 		if err := s.Reshard(spec); err == nil {
 			t.Fatalf("spec %+v accepted, want error", spec)
+		}
+		if len(phases) != 0 {
+			t.Fatalf("spec %+v rejected only after phases %v", spec, phases)
 		}
 	}
 	if s.Generation() != 0 {

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -242,6 +244,11 @@ func TestPartitionPruning(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	visitsBefore, queueBefore := map[string]uint64{}, map[string]uint64{}
+	for name, st := range variants {
+		visitsBefore[name] = st.Metrics().ShardVisits
+		queueBefore[name] = queueWaitCount(t, st)
+	}
 	rng := rand.New(rand.NewSource(3))
 	for q := 0; q < 200; q++ {
 		lo := Vec{rng.Float64() * 960, rng.Float64() * 960}
@@ -251,6 +258,14 @@ func TestPartitionPruning(t *testing.T) {
 			if _, err := st.Window(r, at, at+2, 0); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
+		}
+	}
+	// A pruned shard must cost the fan-out nothing: no goroutine, no
+	// worker slot, so no queue-wait observation either.
+	for name, st := range variants {
+		visits := st.Metrics().ShardVisits - visitsBefore[name]
+		if waits := queueWaitCount(t, st) - queueBefore[name]; waits != visits {
+			t.Errorf("%s: %d queue_wait observations for %d shard visits", name, waits, visits)
 		}
 	}
 	speed := variants["speed-fixed"].Metrics()
@@ -264,6 +279,28 @@ func TestPartitionPruning(t *testing.T) {
 	t.Logf("visits: speed-fixed %d, speed-auto %d, hash %d (pruned %d / %d / %d)",
 		speed.ShardVisits, variants["speed-auto"].Metrics().ShardVisits, hash.ShardVisits,
 		speed.ShardsPruned, variants["speed-auto"].Metrics().ShardsPruned, hash.ShardsPruned)
+}
+
+// queueWaitCount reads the aggregate queue_wait phase count from the
+// index's Prometheus exposition.
+func queueWaitCount(t *testing.T, st *ShardedTree) uint64 {
+	t.Helper()
+	var buf strings.Builder
+	if err := st.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const series = `rexp_phase_duration_seconds_count{phase="queue_wait"} `
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if v, ok := strings.CutPrefix(line, series); ok {
+			n, err := strconv.ParseUint(v, 10, 64)
+			if err != nil {
+				t.Fatalf("%s%s: %v", series, v, err)
+			}
+			return n
+		}
+	}
+	t.Fatalf("exposition has no %s", series)
+	return 0
 }
 
 // TestShardManifest checks the partition sidecar: created on open,
@@ -382,12 +419,31 @@ func TestShardedOptionValidation(t *testing.T) {
 		"wrong band count": {Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{1, 2}},
 		"descending bands": {Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{3, 2, 1}},
 		"negative band":    {Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{-1, 2, 3}},
+		"NaN band":         {Options: DefaultOptions(), Shards: 2, Partition: PartitionSpeed, SpeedBands: []float64{math.NaN()}},
+		"infinite band":    {Options: DefaultOptions(), Shards: 2, Partition: PartitionSpeed, SpeedBands: []float64{math.Inf(1)}},
 		"unknown policy":   {Options: DefaultOptions(), Shards: 4, Partition: PartitionPolicy(9)},
 	} {
 		if _, err := OpenSharded(so); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
+		// A file-backed open must refuse the options before it creates
+		// any shard file or manifest.
+		dir := t.TempDir()
+		so.Path = filepath.Join(dir, "idx")
+		if _, err := OpenSharded(so); err == nil {
+			t.Errorf("%s: file-backed open accepted", name)
+		}
+		if files, _ := os.ReadDir(dir); len(files) != 0 {
+			t.Errorf("%s: rejected open left %d files behind", name, len(files))
+		}
 	}
+	// Equal neighbors leave a band empty; the live reshard engine and the
+	// manifest accept and persist them, so the constructor must too.
+	st, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4, Partition: PartitionSpeed, SpeedBands: []float64{1, 1, 2}})
+	if err != nil {
+		t.Fatalf("equal neighboring bands: %v", err)
+	}
+	st.Close()
 	if _, err := ParsePartitionPolicy("speed"); err != nil {
 		t.Error(err)
 	}

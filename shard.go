@@ -44,12 +44,12 @@ type ShardedOptions struct {
 	Partition PartitionPolicy
 
 	// SpeedBands are the |velocity| boundaries between consecutive
-	// speed bands under PartitionSpeed: exactly Shards-1 ascending
-	// non-negative values, band i covering [SpeedBands[i-1],
-	// SpeedBands[i]).  Leave empty for self-tuning: the index
-	// hash-routes while observing the first TuneAfter reported speeds,
-	// then picks quantile boundaries; objects migrate to their band's
-	// shard on their next update.
+	// speed bands under PartitionSpeed: exactly Shards-1 finite,
+	// non-negative, non-descending values (equal neighbors leave a band
+	// empty), band i covering [SpeedBands[i-1], SpeedBands[i]).  Leave
+	// empty for self-tuning: the index hash-routes while observing the
+	// first TuneAfter reported speeds, then picks quantile boundaries;
+	// objects migrate to their band's shard on their next update.
 	SpeedBands []float64
 
 	// TuneAfter is how many speed observations self-tuning collects
@@ -332,17 +332,10 @@ func OpenSharded(opts ShardedOptions) (*ShardedTree, error) {
 	if opts.AutoReshard.Enabled && opts.Partition != PartitionSpeed {
 		return nil, fmt.Errorf("rexptree: AutoReshard requires PartitionSpeed")
 	}
-	bands := append([]float64(nil), opts.SpeedBands...)
-	if len(bands) > 0 {
-		if len(bands) != opts.Shards-1 {
-			return nil, fmt.Errorf("rexptree: %d speed bands for %d shards, want %d", len(bands), opts.Shards, opts.Shards-1)
-		}
-		for i, b := range bands {
-			if b < 0 || (i > 0 && b <= bands[i-1]) {
-				return nil, fmt.Errorf("rexptree: speed bands must be non-negative and ascending, got %v", bands)
-			}
-		}
+	if err := manifest.ValidateBands(opts.SpeedBands, opts.Shards); err != nil {
+		return nil, fmt.Errorf("rexptree: %w", err)
 	}
+	bands := append([]float64(nil), opts.SpeedBands...)
 	if opts.TuneAfter <= 0 {
 		opts.TuneAfter = 1000
 	}
@@ -981,34 +974,74 @@ func (s *ShardedTree) widenGroups(g *generation, groups [][]Report, now float64)
 
 // query fans one search out across the shards whose summaries the
 // query trapezoid can touch, counting visited and pruned shards, and
-// merges the results in ascending object-id order.
-func (s *ShardedTree) query(q geom.Query, run func(*Tree) ([]Result, error)) ([]Result, error) {
+// merges the results in ascending object-id order.  Pruned shards
+// spawn nothing and take no worker slot.  A visited shard's operation
+// latency is measured from its goroutine's start, so it includes the
+// queue wait.  When tc is non-nil, each visited shard's span block
+// (shard, queue-wait, lock-wait, traverse) is preallocated before the
+// fan-out so the goroutines only write their own slots.
+func (s *ShardedTree) query(q geom.Query, op obs.Op, now float64, tc *QueryTrace) ([]Result, error) {
 	g := s.pin()
 	defer g.unpin()
+	ri := tc.begin(-1, "route", -1)
+	s.traceShards(tc, g, "summary-pruned")
 	visit := make([]bool, len(g.shards))
-	var visits, pruned uint64
+	var visits uint64
 	for i := range g.shards {
 		if s.shardMatches(g, i, q) {
 			visit[i] = true
 			visits++
-		} else {
-			pruned++
 		}
 	}
+	tc.endAt(ri)
 	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-	parts := make([][]Result, len(g.shards))
-	err := s.fanOut(g, func(i int, t *Tree) error {
-		if !visit[i] {
-			return nil
+	s.m.ShardsPruned.Add(uint64(len(g.shards)) - visits)
+
+	type spanBlock struct{ shard, queue, lock, trav int }
+	blocks := make([]spanBlock, len(g.shards))
+	for i := range g.shards {
+		if visit[i] && tc != nil {
+			sh := tc.begin(-1, "shard", i)
+			blocks[i] = spanBlock{sh, tc.begin(sh, "queue-wait", i), tc.begin(sh, "lock-wait", i), tc.begin(sh, "traverse", i)}
 		}
-		rs, err := run(t)
-		parts[i] = rs
-		return err
-	})
-	if err != nil {
-		return nil, err
 	}
+
+	parts := make([][]Result, len(g.shards))
+	errs := make([]error, len(g.shards))
+	var wg sync.WaitGroup
+	for i, t := range g.shards {
+		if !visit[i] {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, t *Tree) {
+			defer wg.Done()
+			opStart := time.Now()
+			b := blocks[i]
+			tc.startAt(b.queue)
+			s.sem <- struct{}{}
+			s.m.ObservePhase(obs.PhaseQueueWait, time.Since(opStart))
+			tc.endAt(b.queue)
+			defer func() { <-s.sem }()
+			parts[i], errs[i] = t.searchSpansAt(q, now, tc, b.lock, b.trav)
+			tc.endAt(b.shard)
+			t.m.ObserveOp(op, time.Since(opStart), errs[i])
+		}(i, t)
+	}
+	wg.Wait()
+
+	for i := range g.shards {
+		if visit[i] {
+			tc.visitedShard(i, blocks[i].shard, blocks[i].trav, len(parts[i]))
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+
+	mi := tc.begin(-1, "merge", -1)
 	ms := time.Now()
 	n := 0
 	for _, p := range parts {
@@ -1020,6 +1053,7 @@ func (s *ShardedTree) query(q geom.Query, run func(*Tree) ([]Result, error)) ([]
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	s.m.ObservePhase(obs.PhaseMerge, time.Since(ms))
+	tc.endAt(mi)
 	return out, nil
 }
 
@@ -1027,66 +1061,51 @@ func (s *ShardedTree) query(q geom.Query, run func(*Tree) ([]Result, error)) ([]
 // (Type 1 query), fanned out across the non-pruned shards; see
 // Tree.Timeslice.
 func (s *ShardedTree) Timeslice(r Rect, at, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceTimeslice(r, at, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.timeslice(r, at, now)
-	s.m.ObserveOp(obs.OpTimeslice, time.Since(start), err)
+	res, _, err := observeQuery(s.m, s.rec, obs.OpTimeslice, false, func(tc *QueryTrace) ([]Result, error) {
+		return s.timeslice(r, at, now, tc)
+	})
 	return res, err
 }
 
-func (s *ShardedTree) timeslice(r Rect, at, now float64) ([]Result, error) {
+func (s *ShardedTree) timeslice(r Rect, at, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkTimeslice(at, now); err != nil {
 		return nil, err
 	}
-	q := geom.Timeslice(toRect(r), at)
-	return s.query(q, func(t *Tree) ([]Result, error) { return t.Timeslice(r, at, now) })
+	return s.query(geom.Timeslice(toRect(r), at), obs.OpTimeslice, now, tc)
 }
 
 // Window reports the objects predicted to cross r during [t1, t2]
 // (Type 2 query), fanned out across the non-pruned shards; see
 // Tree.Window.
 func (s *ShardedTree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceWindow(r, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.window(r, t1, t2, now)
-	s.m.ObserveOp(obs.OpWindow, time.Since(start), err)
+	res, _, err := observeQuery(s.m, s.rec, obs.OpWindow, false, func(tc *QueryTrace) ([]Result, error) {
+		return s.window(r, t1, t2, now, tc)
+	})
 	return res, err
 }
 
-func (s *ShardedTree) window(r Rect, t1, t2, now float64) ([]Result, error) {
+func (s *ShardedTree) window(r Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkWindow(t1, t2, now); err != nil {
 		return nil, err
 	}
-	q := geom.Window(toRect(r), t1, t2)
-	return s.query(q, func(t *Tree) ([]Result, error) { return t.Window(r, t1, t2, now) })
+	return s.query(geom.Window(toRect(r), t1, t2), obs.OpWindow, now, tc)
 }
 
 // Moving reports the objects predicted to cross the trapezoid
 // connecting r1 at t1 to r2 at t2 (Type 3 query), fanned out across
 // the non-pruned shards; see Tree.Moving.
 func (s *ShardedTree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceMoving(r1, r2, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.moving(r1, r2, t1, t2, now)
-	s.m.ObserveOp(obs.OpMoving, time.Since(start), err)
+	res, _, err := observeQuery(s.m, s.rec, obs.OpMoving, false, func(tc *QueryTrace) ([]Result, error) {
+		return s.moving(r1, r2, t1, t2, now, tc)
+	})
 	return res, err
 }
 
-func (s *ShardedTree) moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
+func (s *ShardedTree) moving(r1, r2 Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkMoving(t1, t2, now); err != nil {
 		return nil, err
 	}
-	q := geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims)
-	return s.query(q, func(t *Tree) ([]Result, error) { return t.Moving(r1, r2, t1, t2, now) })
+	return s.query(geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims), obs.OpMoving, now, tc)
 }
 
 // Nearest returns the k objects whose predicted positions at time at
@@ -1097,17 +1116,15 @@ func (s *ShardedTree) moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error)
 // cannot enter the result).  The merged list is ordered by ascending
 // distance (ties by object id) and truncated to k.
 func (s *ShardedTree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	if s.rec != nil {
-		res, _, err := s.TraceNearest(pos, at, k, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := s.nearest(pos, at, k, now)
-	s.m.ObserveOp(obs.OpNearest, time.Since(start), err)
+	res, _, err := observeQuery(s.m, s.rec, obs.OpNearest, false, func(tc *QueryTrace) ([]Result, error) {
+		return s.nearest(pos, at, k, now, tc)
+	})
 	return res, err
 }
 
-func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
+// nearest visits the shards sequentially, so a trace's spans append
+// freely.
+func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkTimeslice(at, now); err != nil {
 		return nil, err
 	}
@@ -1116,6 +1133,7 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result
 	}
 	g := s.pin()
 	defer g.unpin()
+	ri := tc.begin(-1, "route", -1)
 	type shardDist struct {
 		i   int
 		d   float64
@@ -1132,6 +1150,9 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result
 		}
 		return ord[a].i < ord[b].i
 	})
+	s.traceShards(tc, g, "")
+	tc.endAt(ri)
+
 	type cand struct {
 		dist float64
 		r    Result
@@ -1144,14 +1165,28 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64) ([]Result
 		// contribute; with ord sorted ascending neither can any shard
 		// after them.
 		if !o.has || (len(cands) >= k && o.d > cands[k-1].dist) {
+			if tc != nil {
+				for _, rest := range ord[idx:] {
+					tc.Shards[rest.i].Reason = "empty"
+					if rest.has {
+						tc.Shards[rest.i].Reason = "distance-pruned"
+					}
+				}
+			}
 			pruned += uint64(len(ord) - idx)
 			break
 		}
 		visits++
-		rs, err := g.shards[o.i].Nearest(pos, at, k, now)
+		sh := tc.begin(-1, "shard", o.i)
+		li := tc.begin(sh, "lock-wait", o.i)
+		ti := tc.begin(sh, "traverse", o.i)
+		opStart := time.Now()
+		rs, err := g.shards[o.i].nearestSpansAt(pos, at, k, now, tc, li, ti)
+		g.shards[o.i].m.ObserveOp(obs.OpNearest, time.Since(opStart), err)
+		tc.endAt(sh)
+		tc.visitedShard(o.i, sh, ti, len(rs))
 		if err != nil {
 			s.m.ShardVisits.Add(visits)
-			s.m.ShardsPruned.Add(pruned)
 			return nil, err
 		}
 		for _, r := range rs {

@@ -3,11 +3,8 @@ package rexptree
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"rexptree/internal/core"
@@ -117,7 +114,7 @@ func (t *QueryTrace) endAt(i int) {
 // tree lock, so the slot reserved for lock-wait reports the measured
 // epoch pin cost instead.  The span shares the traversal's start (the
 // pin is its first act) and lasts the pin time recorded in TravStats.
-func (t *QueryTrace) setEpochPin(i, travIdx int, pinNanos int64) {
+func (t *QueryTrace) setEpochPin(i, travIdx int, st *core.TravStats) {
 	if t == nil || i < 0 {
 		return
 	}
@@ -126,7 +123,7 @@ func (t *QueryTrace) setEpochPin(i, travIdx int, pinNanos int64) {
 	if travIdx >= 0 {
 		sp.Start = t.Spans[travIdx].Start
 	}
-	sp.Duration = time.Duration(pinNanos)
+	sp.Duration = time.Duration(st.PinNanos)
 }
 
 // addMeasured appends a root span whose length was measured elsewhere
@@ -146,8 +143,9 @@ func (t *QueryTrace) addMeasured(phase string, nanos int64) {
 	})
 }
 
-// setTrav attaches a traversal's node and page accounting to span i.
-func (t *QueryTrace) setTrav(i int, st core.TravStats, results int) {
+// setTrav attaches a traversal's node and page accounting to span i;
+// st is non-nil whenever t is.
+func (t *QueryTrace) setTrav(i int, st *core.TravStats, results int) {
 	if t == nil || i < 0 {
 		return
 	}
@@ -155,6 +153,20 @@ func (t *QueryTrace) setTrav(i int, st core.TravStats, results int) {
 	sp.Nodes, sp.Leaves = st.Nodes, st.Leaves
 	sp.PageReads, sp.PageHits = st.Reads, st.Hits
 	sp.Results = results
+}
+
+// visitedShard marks pruning-table row i visited, with the cost its
+// closed shard span and traverse span recorded.
+func (t *QueryTrace) visitedShard(i, shardIdx, travIdx, results int) {
+	if t == nil {
+		return
+	}
+	st, sp := &t.Shards[i], &t.Spans[travIdx]
+	st.Visited, st.Reason = true, "match"
+	st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
+	st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
+	st.Results = results
+	st.Duration = t.Spans[shardIdx].Duration
 }
 
 // finishRecord seals the trace and hands it to the flight recorder
@@ -298,116 +310,87 @@ func traceHandler(rec *obs.Recorder) http.Handler {
 }
 
 // ---------------------------------------------------------------------
-// Tree EXPLAIN API.
+// EXPLAIN API.  Every query runs through one internal function per
+// query type and front end, taking a trace that is nil unless EXPLAIN
+// or the flight recorder asks for it; the public methods differ only
+// in whether they force a trace.
+
+// observeQuery runs one query, observing it in the metrics and handing
+// its trace to the flight recorder like any other operation.  run gets
+// a fresh trace when explain is set or a recorder is attached, and nil
+// otherwise.
+func observeQuery(m *obs.Metrics, rec *obs.Recorder, op obs.Op, explain bool, run func(tc *QueryTrace) ([]Result, error)) ([]Result, *QueryTrace, error) {
+	var tc *QueryTrace
+	if explain || rec != nil {
+		tc = newTrace(op.String())
+	}
+	start := time.Now()
+	res, err := run(tc)
+	d := time.Since(start)
+	m.ObserveOp(op, d, err)
+	tc.finishRecord(rec, len(res), d, err)
+	return res, tc, err
+}
 
 // TraceWindow runs Window and returns its execution trace alongside
 // the results.  The traversal and results are identical to Window (the
 // trace only observes); the operation is observed in the metrics and
 // flight recorder like any other.
 func (tr *Tree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("window")
-	start := time.Now()
-	res, err := tr.windowTraced(r, t1, t2, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpWindow, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
+	return observeQuery(tr.m, tr.rec, obs.OpWindow, true, func(tc *QueryTrace) ([]Result, error) {
+		return tr.window(r, t1, t2, now, tc)
+	})
 }
 
 // TraceTimeslice runs Timeslice and returns its execution trace; see
 // TraceWindow.
 func (tr *Tree) TraceTimeslice(r Rect, at, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("timeslice")
-	start := time.Now()
-	res, err := tr.timesliceTraced(r, at, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpTimeslice, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
+	return observeQuery(tr.m, tr.rec, obs.OpTimeslice, true, func(tc *QueryTrace) ([]Result, error) {
+		return tr.timeslice(r, at, now, tc)
+	})
 }
 
 // TraceMoving runs Moving and returns its execution trace; see
 // TraceWindow.
 func (tr *Tree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("moving")
-	start := time.Now()
-	res, err := tr.movingTraced(r1, r2, t1, t2, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpMoving, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
+	return observeQuery(tr.m, tr.rec, obs.OpMoving, true, func(tc *QueryTrace) ([]Result, error) {
+		return tr.moving(r1, r2, t1, t2, now, tc)
+	})
 }
 
 // TraceNearest runs Nearest and returns its execution trace; see
 // TraceWindow.
 func (tr *Tree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("nearest")
-	start := time.Now()
-	res, err := tr.nearestTraced(pos, at, k, now, tc)
-	d := time.Since(start)
-	tr.m.ObserveOp(obs.OpNearest, d, err)
-	tc.finishRecord(tr.rec, len(res), d, err)
-	return res, tc, err
-}
-
-func (tr *Tree) windowTraced(r Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkWindow(t1, t2, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.searchSpansAt(geom.Window(toRect(r), t1, t2), now, tc, li, ti)
-}
-
-func (tr *Tree) timesliceTraced(r Rect, at, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.searchSpansAt(geom.Timeslice(toRect(r), at), now, tc, li, ti)
-}
-
-func (tr *Tree) movingTraced(r1, r2 Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkMoving(t1, t2, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.searchSpansAt(geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now, tc, li, ti)
-}
-
-func (tr *Tree) nearestTraced(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	li := tc.begin(-1, "lock-wait", -1)
-	ti := tc.begin(-1, "traverse", -1)
-	return tr.nearestSpansAt(pos, at, k, now, tc, li, ti)
+	return observeQuery(tr.m, tr.rec, obs.OpNearest, true, func(tc *QueryTrace) ([]Result, error) {
+		return tr.nearest(pos, at, k, now, tc)
+	})
 }
 
 // searchSpansAt runs one search, timing the lock wait and traversal
 // into the preallocated spans lockIdx and travIdx (so concurrent shard
-// goroutines never append to the shared trace).  The traversal and
-// result conversion are identical to the untraced search.
+// goroutines never append to the shared trace).  Untraced (tc nil), it
+// collects no traversal accounting and so does no extra timing.
 func (tr *Tree) searchSpansAt(q geom.Query, now float64, tc *QueryTrace, lockIdx, travIdx int) ([]Result, error) {
 	var (
 		rs  []core.Result
 		err error
-		st  core.TravStats
+		st  *core.TravStats
 	)
+	if tc != nil {
+		st = new(core.TravStats)
+	}
 	if tr.snapshotReads() {
 		tc.startAt(travIdx)
-		rs, err = tr.t.SearchSnapStats(q, now, &st)
+		rs, err = tr.t.SearchSnapStats(q, now, st)
 		tc.endAt(travIdx)
-		tc.setEpochPin(lockIdx, travIdx, st.PinNanos)
+		tc.setEpochPin(lockIdx, travIdx, st)
 	} else {
 		tc.startAt(lockIdx)
 		tr.rlock()
 		tc.endAt(lockIdx)
 		defer tr.mu.RUnlock()
 		tc.startAt(travIdx)
-		rs, err = tr.t.SearchStats(q, now, &st)
+		rs, err = tr.t.SearchStats(q, now, st)
 		tc.endAt(travIdx)
 	}
 	tc.setTrav(travIdx, st, len(rs))
@@ -423,20 +406,23 @@ func (tr *Tree) nearestSpansAt(pos Vec, at float64, k int, now float64, tc *Quer
 	var (
 		rs  []core.Result
 		err error
-		st  core.TravStats
+		st  *core.TravStats
 	)
+	if tc != nil {
+		st = new(core.TravStats)
+	}
 	if tr.snapshotReads() {
 		tc.startAt(travIdx)
-		rs, err = tr.t.NearestSnapStats(geom.Vec(pos), at, k, now, &st)
+		rs, err = tr.t.NearestSnapStats(geom.Vec(pos), at, k, now, st)
 		tc.endAt(travIdx)
-		tc.setEpochPin(lockIdx, travIdx, st.PinNanos)
+		tc.setEpochPin(lockIdx, travIdx, st)
 	} else {
 		tc.startAt(lockIdx)
 		tr.rlock()
 		tc.endAt(lockIdx)
 		defer tr.mu.RUnlock()
 		tc.startAt(travIdx)
-		rs, err = tr.t.NearestStats(geom.Vec(pos), at, k, now, &st)
+		rs, err = tr.t.NearestStats(geom.Vec(pos), at, k, now, st)
 		tc.endAt(travIdx)
 	}
 	tc.setTrav(travIdx, st, len(rs))
@@ -464,299 +450,51 @@ func (tr *Tree) TraceHandler() http.Handler {
 	return traceHandler(tr.rec)
 }
 
-// ---------------------------------------------------------------------
-// ShardedTree EXPLAIN API.
-
 // TraceWindow runs Window across the shards and returns the execution
 // trace: the per-shard pruning table and the span tree covering
 // routing, per-shard queue wait, lock wait and traversal, and the
 // result merge.  Results are identical to Window.
 func (s *ShardedTree) TraceWindow(r Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("window")
-	start := time.Now()
-	res, err := s.windowTraced(r, t1, t2, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpWindow, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
+	return observeQuery(s.m, s.rec, obs.OpWindow, true, func(tc *QueryTrace) ([]Result, error) {
+		return s.window(r, t1, t2, now, tc)
+	})
 }
 
 // TraceTimeslice runs Timeslice across the shards and returns the
 // execution trace; see TraceWindow.
 func (s *ShardedTree) TraceTimeslice(r Rect, at, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("timeslice")
-	start := time.Now()
-	res, err := s.timesliceTraced(r, at, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpTimeslice, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
+	return observeQuery(s.m, s.rec, obs.OpTimeslice, true, func(tc *QueryTrace) ([]Result, error) {
+		return s.timeslice(r, at, now, tc)
+	})
 }
 
 // TraceMoving runs Moving across the shards and returns the execution
 // trace; see TraceWindow.
 func (s *ShardedTree) TraceMoving(r1, r2 Rect, t1, t2, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("moving")
-	start := time.Now()
-	res, err := s.movingTraced(r1, r2, t1, t2, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpMoving, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
+	return observeQuery(s.m, s.rec, obs.OpMoving, true, func(tc *QueryTrace) ([]Result, error) {
+		return s.moving(r1, r2, t1, t2, now, tc)
+	})
 }
 
 // TraceNearest runs Nearest across the shards and returns the
 // execution trace; the pruning table records the distance-ordered
 // visits and prunes.  See TraceWindow.
 func (s *ShardedTree) TraceNearest(pos Vec, at float64, k int, now float64) ([]Result, *QueryTrace, error) {
-	tc := newTrace("nearest")
-	start := time.Now()
-	res, err := s.nearestTraced(pos, at, k, now, tc)
-	d := time.Since(start)
-	s.m.ObserveOp(obs.OpNearest, d, err)
-	tc.finishRecord(s.rec, len(res), d, err)
-	return res, tc, err
-}
-
-func (s *ShardedTree) windowTraced(r Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkWindow(t1, t2, now); err != nil {
-		return nil, err
-	}
-	q := geom.Window(toRect(r), t1, t2)
-	return s.queryTraced(q, obs.OpWindow, tc, func(t *Tree, li, ti int) ([]Result, error) {
-		return t.searchSpansAt(q, now, tc, li, ti)
+	return observeQuery(s.m, s.rec, obs.OpNearest, true, func(tc *QueryTrace) ([]Result, error) {
+		return s.nearest(pos, at, k, now, tc)
 	})
 }
 
-func (s *ShardedTree) timesliceTraced(r Rect, at, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
+// traceShards starts tc's pruning table: one row per shard of g, with
+// reason as the default decision.  A nil trace keeps no table.
+func (s *ShardedTree) traceShards(tc *QueryTrace, g *generation, reason string) {
+	if tc == nil {
+		return
 	}
-	q := geom.Timeslice(toRect(r), at)
-	return s.queryTraced(q, obs.OpTimeslice, tc, func(t *Tree, li, ti int) ([]Result, error) {
-		return t.searchSpansAt(q, now, tc, li, ti)
-	})
-}
-
-func (s *ShardedTree) movingTraced(r1, r2 Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkMoving(t1, t2, now); err != nil {
-		return nil, err
-	}
-	q := geom.Moving(toRect(r1), toRect(r2), t1, t2, s.dims)
-	return s.queryTraced(q, obs.OpMoving, tc, func(t *Tree, li, ti int) ([]Result, error) {
-		return t.searchSpansAt(q, now, tc, li, ti)
-	})
-}
-
-// queryTraced is the traced counterpart of query: same routing, prune
-// accounting, fan-out and deterministic merge, with the decisions and
-// timings recorded into tc.  Each visited shard's span block (shard,
-// queue-wait, lock-wait, traverse) is preallocated before the fan-out
-// so the goroutines only write their own slots.  Per-shard operation
-// metrics are observed like the untraced path (which calls the shard's
-// public method).
-func (s *ShardedTree) queryTraced(q geom.Query, op obs.Op, tc *QueryTrace, run func(t *Tree, lockIdx, travIdx int) ([]Result, error)) ([]Result, error) {
-	g := s.pin()
-	defer g.unpin()
-	ri := tc.begin(-1, "route", -1)
-	visit := make([]bool, len(g.shards))
-	var visits, pruned uint64
 	tc.Shards = make([]ShardTrace, len(g.shards))
-	for i := range g.shards {
-		st := &tc.Shards[i]
-		st.Shard = i
-		st.Band = s.bandLabel(g, i)
-		if s.shardMatches(g, i, q) {
-			visit[i] = true
-			visits++
-			st.Visited = true
-			st.Reason = "match"
-		} else {
-			st.Reason = "summary-pruned"
-		}
+	for i := range tc.Shards {
+		tc.Shards[i] = ShardTrace{Shard: i, Band: s.bandLabel(g, i), Reason: reason}
 	}
-	pruned = uint64(len(g.shards)) - visits
-	tc.endAt(ri)
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-
-	type spanBlock struct{ shard, queue, lock, trav int }
-	blocks := make([]spanBlock, len(g.shards))
-	for i := range g.shards {
-		if !visit[i] {
-			blocks[i] = spanBlock{-1, -1, -1, -1}
-			continue
-		}
-		sh := tc.begin(-1, "shard", i)
-		blocks[i] = spanBlock{
-			shard: sh,
-			queue: tc.begin(sh, "queue-wait", i),
-			lock:  tc.begin(sh, "lock-wait", i),
-			trav:  tc.begin(sh, "traverse", i),
-		}
-	}
-
-	parts := make([][]Result, len(g.shards))
-	var wg sync.WaitGroup
-	errs := make([]error, len(g.shards))
-	for i, t := range g.shards {
-		if !visit[i] {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, t *Tree) {
-			defer wg.Done()
-			opStart := time.Now()
-			b := blocks[i]
-			tc.startAt(b.queue)
-			qs := time.Now()
-			s.sem <- struct{}{}
-			s.m.ObservePhase(obs.PhaseQueueWait, time.Since(qs))
-			tc.endAt(b.queue)
-			defer func() { <-s.sem }()
-			rs, err := run(t, b.lock, b.trav)
-			parts[i] = rs
-			errs[i] = err
-			tc.endAt(b.shard)
-			t.m.ObserveOp(op, time.Since(opStart), err)
-		}(i, t)
-	}
-	wg.Wait()
-
-	for i := range g.shards {
-		if !visit[i] {
-			continue
-		}
-		st := &tc.Shards[i]
-		sp := &tc.Spans[blocks[i].trav]
-		st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
-		st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
-		st.Results = len(parts[i])
-		st.Duration = tc.Spans[blocks[i].shard].Duration
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	mi := tc.begin(-1, "merge", -1)
-	ms := time.Now()
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	out := make([]Result, 0, n)
-	for _, p := range parts {
-		out = append(out, p...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	s.m.ObservePhase(obs.PhaseMerge, time.Since(ms))
-	tc.endAt(mi)
-	return out, nil
-}
-
-// nearestTraced mirrors nearest with the distance-ordered visits and
-// prunes recorded into tc.  The visits are sequential, so spans append
-// freely.
-func (s *ShardedTree) nearestTraced(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
-	if err := checkTimeslice(at, now); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	g := s.pin()
-	defer g.unpin()
-	ri := tc.begin(-1, "route", -1)
-	type shardDist struct {
-		i   int
-		d   float64
-		has bool
-	}
-	ord := make([]shardDist, len(g.shards))
-	for i := range g.shards {
-		d, has := s.shardMinDist(g, i, pos, at)
-		ord[i] = shardDist{i, d, has}
-	}
-	sort.Slice(ord, func(a, b int) bool {
-		if ord[a].d != ord[b].d {
-			return ord[a].d < ord[b].d
-		}
-		return ord[a].i < ord[b].i
-	})
-	tc.Shards = make([]ShardTrace, len(g.shards))
-	for i := range g.shards {
-		tc.Shards[i] = ShardTrace{Shard: i, Band: s.bandLabel(g, i)}
-	}
-	tc.endAt(ri)
-
-	type cand struct {
-		dist float64
-		r    Result
-	}
-	var cands []cand
-	var visits, pruned uint64
-	for idx, o := range ord {
-		if !o.has || (len(cands) >= k && o.d > cands[k-1].dist) {
-			for _, rest := range ord[idx:] {
-				st := &tc.Shards[rest.i]
-				if rest.has {
-					st.Reason = "distance-pruned"
-				} else {
-					st.Reason = "empty"
-				}
-			}
-			pruned += uint64(len(ord) - idx)
-			break
-		}
-		visits++
-		st := &tc.Shards[o.i]
-		st.Visited = true
-		st.Reason = "match"
-		sh := tc.begin(-1, "shard", o.i)
-		li := tc.begin(sh, "lock-wait", o.i)
-		ti := tc.begin(sh, "traverse", o.i)
-		opStart := time.Now()
-		rs, err := g.shards[o.i].nearestSpansAt(pos, at, k, now, tc, li, ti)
-		g.shards[o.i].m.ObserveOp(obs.OpNearest, time.Since(opStart), err)
-		tc.endAt(sh)
-		sp := &tc.Spans[ti]
-		st.Nodes, st.Leaves = sp.Nodes, sp.Leaves
-		st.PageReads, st.PageHits = sp.PageReads, sp.PageHits
-		st.Results = len(rs)
-		st.Duration = tc.Spans[sh].Duration
-		if err != nil {
-			s.m.ShardVisits.Add(visits)
-			s.m.ShardsPruned.Add(pruned)
-			return nil, err
-		}
-		for _, r := range rs {
-			p := r.Point.At(at)
-			var d float64
-			for j := 0; j < s.dims; j++ {
-				dd := p[j] - pos[j]
-				d += dd * dd
-			}
-			cands = append(cands, cand{math.Sqrt(d), r})
-		}
-		sort.Slice(cands, func(a, b int) bool {
-			if cands[a].dist != cands[b].dist {
-				return cands[a].dist < cands[b].dist
-			}
-			return cands[a].r.ID < cands[b].r.ID
-		})
-		if len(cands) > k {
-			cands = cands[:k]
-		}
-	}
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
-	out := make([]Result, len(cands))
-	for i, c := range cands {
-		out[i] = c.r
-	}
-	return out, nil
 }
 
 // Traces returns the sharded front end's flight-recorder traces,

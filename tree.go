@@ -447,21 +447,17 @@ func (tr *Tree) delete(id uint32, now float64, tc *QueryTrace) (bool, error) {
 // Timeslice reports the objects predicted to be inside r at time at
 // (Type 1 query).  now is the current time; at must not precede it.
 func (tr *Tree) Timeslice(r Rect, at, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceTimeslice(r, at, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.timeslice(r, at, now)
-	tr.m.ObserveOp(obs.OpTimeslice, time.Since(start), err)
+	res, _, err := observeQuery(tr.m, tr.rec, obs.OpTimeslice, false, func(tc *QueryTrace) ([]Result, error) {
+		return tr.timeslice(r, at, now, tc)
+	})
 	return res, err
 }
 
-func (tr *Tree) timeslice(r Rect, at, now float64) ([]Result, error) {
+func (tr *Tree) timeslice(r Rect, at, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkTimeslice(at, now); err != nil {
 		return nil, err
 	}
-	return tr.search(geom.Timeslice(toRect(r), at), now)
+	return tr.search(geom.Timeslice(toRect(r), at), now, tc)
 }
 
 // The query-time validators, shared by Tree and the sharded front-end
@@ -491,94 +487,60 @@ func checkMoving(t1, t2, now float64) error {
 // Window reports the objects predicted to cross r at some time in
 // [t1, t2] (Type 2 query).
 func (tr *Tree) Window(r Rect, t1, t2, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceWindow(r, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.window(r, t1, t2, now)
-	tr.m.ObserveOp(obs.OpWindow, time.Since(start), err)
+	res, _, err := observeQuery(tr.m, tr.rec, obs.OpWindow, false, func(tc *QueryTrace) ([]Result, error) {
+		return tr.window(r, t1, t2, now, tc)
+	})
 	return res, err
 }
 
-func (tr *Tree) window(r Rect, t1, t2, now float64) ([]Result, error) {
+func (tr *Tree) window(r Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkWindow(t1, t2, now); err != nil {
 		return nil, err
 	}
-	return tr.search(geom.Window(toRect(r), t1, t2), now)
+	return tr.search(geom.Window(toRect(r), t1, t2), now, tc)
 }
 
 // Moving reports the objects predicted to cross the trapezoid
 // connecting r1 at t1 to r2 at t2 (Type 3 query).
 func (tr *Tree) Moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceMoving(r1, r2, t1, t2, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.moving(r1, r2, t1, t2, now)
-	tr.m.ObserveOp(obs.OpMoving, time.Since(start), err)
+	res, _, err := observeQuery(tr.m, tr.rec, obs.OpMoving, false, func(tc *QueryTrace) ([]Result, error) {
+		return tr.moving(r1, r2, t1, t2, now, tc)
+	})
 	return res, err
 }
 
-func (tr *Tree) moving(r1, r2 Rect, t1, t2, now float64) ([]Result, error) {
+func (tr *Tree) moving(r1, r2 Rect, t1, t2, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkMoving(t1, t2, now); err != nil {
 		return nil, err
 	}
-	return tr.search(geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now)
+	return tr.search(geom.Moving(toRect(r1), toRect(r2), t1, t2, tr.dims), now, tc)
 }
 
 // Nearest returns the k objects whose predicted positions at time at
 // are closest to pos, nearest first.  Expired reports never qualify.
 // Like Timeslice, the query time must not precede the current time.
 func (tr *Tree) Nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
-	if tr.rec != nil {
-		res, _, err := tr.TraceNearest(pos, at, k, now)
-		return res, err
-	}
-	start := time.Now()
-	res, err := tr.nearest(pos, at, k, now)
-	tr.m.ObserveOp(obs.OpNearest, time.Since(start), err)
+	res, _, err := observeQuery(tr.m, tr.rec, obs.OpNearest, false, func(tc *QueryTrace) ([]Result, error) {
+		return tr.nearest(pos, at, k, now, tc)
+	})
 	return res, err
 }
 
-func (tr *Tree) nearest(pos Vec, at float64, k int, now float64) ([]Result, error) {
+func (tr *Tree) nearest(pos Vec, at float64, k int, now float64, tc *QueryTrace) ([]Result, error) {
 	if err := checkTimeslice(at, now); err != nil {
 		return nil, err
 	}
-	var (
-		rs  []core.Result
-		err error
-	)
-	if tr.snapshotReads() {
-		rs, err = tr.t.NearestSnap(geom.Vec(pos), at, k, now)
-	} else {
-		tr.rlock()
-		defer tr.mu.RUnlock()
-		rs, err = tr.t.Nearest(geom.Vec(pos), at, k, now)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
+	li := tc.begin(-1, "lock-wait", -1)
+	ti := tc.begin(-1, "traverse", -1)
+	return tr.nearestSpansAt(pos, at, k, now, tc, li, ti)
 }
 
-func (tr *Tree) search(q geom.Query, now float64) ([]Result, error) {
-	var (
-		rs  []core.Result
-		err error
-	)
-	if tr.snapshotReads() {
-		rs, err = tr.t.SearchSnap(q, now)
-	} else {
-		tr.rlock()
-		defer tr.mu.RUnlock()
-		rs, err = tr.t.Search(q, now)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return fromResults(rs, now, tr.dims), nil
+// search is the shared body of the timeslice, window and moving
+// queries: one traversal under root-level lock-wait and traverse spans.
+func (tr *Tree) search(q geom.Query, now float64, tc *QueryTrace) ([]Result, error) {
+	li := tc.begin(-1, "lock-wait", -1)
+	ti := tc.begin(-1, "traverse", -1)
+	return tr.searchSpansAt(q, now, tc, li, ti)
 }
 
 // snapshotReads reports whether queries should traverse the lock-free
