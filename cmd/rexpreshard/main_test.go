@@ -2,13 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"math/rand"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"rexptree"
+	"rexptree/internal/manifest"
+	"rexptree/internal/storage"
 )
 
 func buildTool(t *testing.T) string {
@@ -134,4 +138,142 @@ func TestSmokeBadIndex(t *testing.T) {
 	if ee.ExitCode() != 1 {
 		t.Fatalf("exit code %d, want 1", ee.ExitCode())
 	}
+}
+
+// TestCrashedDurableSource reshards a durable index whose acknowledged
+// updates exist only in its write-ahead logs (the process died before
+// any checkpoint): the tool must recover them, not lose them.
+func TestCrashedDurableSource(t *testing.T) {
+	bin := buildTool(t)
+	base := filepath.Join(t.TempDir(), "idx")
+	opts := rexptree.DefaultOptions()
+	opts.Path = base
+	opts.Durability = rexptree.DurabilityOnCommit
+	st, err := rexptree.OpenSharded(rexptree.ShardedOptions{Options: opts, Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(9))
+	batch := make([]rexptree.Report, 500)
+	for i := range batch {
+		batch[i] = rexptree.Report{ID: uint32(i + 1), Point: rexptree.Point{
+			Pos:     rexptree.Vec{rng.Float64() * 1000, rng.Float64() * 1000},
+			Vel:     rexptree.Vec{rng.Float64()*4 - 2, rng.Float64()*4 - 2},
+			Expires: 100,
+		}}
+	}
+	if err := st.UpdateBatch(batch, 0); err != nil {
+		t.Fatal(err)
+	}
+	st.Abandon() // crash: the updates are acknowledged, but only logged
+
+	if out, err := exec.Command(bin, "-path", base, "-shards", "3", "-quiet").CombinedOutput(); err != nil {
+		t.Fatalf("rexpreshard: %v\n%s", err, out)
+	}
+	ix, err := rexptree.OpenSharded(rexptree.ShardedOptions{Options: opts, Shards: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	kept := 0
+	for _, r := range batch {
+		if _, ok := ix.Get(r.ID, 0); ok {
+			kept++
+		}
+	}
+	if kept != len(batch) {
+		t.Fatalf("%d of %d acknowledged objects survived the reshard", kept, len(batch))
+	}
+}
+
+// fingerprint renders the answers of a fixed battery of queries.
+func fingerprint(t *testing.T, ix *rexptree.ShardedTree) string {
+	t.Helper()
+	now := ix.Now()
+	var b strings.Builder
+	add := func(rs []rexptree.Result, err error) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintln(&b, rs)
+	}
+	inner := rexptree.Rect{Lo: rexptree.Vec{200, 150}, Hi: rexptree.Vec{600, 500}}
+	world := rexptree.Rect{Lo: rexptree.Vec{-500, -500}, Hi: rexptree.Vec{1500, 1500}}
+	add(ix.Timeslice(world, now+10, now))
+	add(ix.Window(inner, now+1, now+30, now))
+	add(ix.Moving(inner, world, now, now+20, now))
+	add(ix.Nearest(rexptree.Vec{500, 500}, now+5, 12, now))
+	fmt.Fprintln(&b, ix.Len())
+	return b.String()
+}
+
+// TestMigrateV1 reshards a committed index in the legacy formats
+// (manifest version 1, page files without checksums): the new
+// generation must be written in the current page format, reopen with
+// a durability policy, and answer queries exactly as the source did.
+func TestMigrateV1(t *testing.T) {
+	bin := buildTool(t)
+	copyFixture := func() string {
+		dir := t.TempDir()
+		for _, name := range []string{"idx.manifest", "idx.s0", "idx.s1"} {
+			data, err := os.ReadFile(filepath.Join("testdata", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return filepath.Join(dir, "idx")
+	}
+
+	src := copyFixture()
+	if v := pageVersion(t, manifest.ShardPath(src, 0, 0)); v != 1 {
+		t.Fatalf("fixture shard is version %d, want 1", v)
+	}
+	so, err := rexptree.StoredShardedOptions(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := rexptree.OpenSharded(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fingerprint(t, ix)
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	base := copyFixture()
+	if out, err := exec.Command(bin, "-path", base, "-shards", "3", "-quiet").CombinedOutput(); err != nil {
+		t.Fatalf("rexpreshard: %v\n%s", err, out)
+	}
+	for i := 0; i < 3; i++ {
+		if v := pageVersion(t, manifest.ShardPath(base, 1, i)); v != 2 {
+			t.Fatalf("committed shard %d is version %d, want 2", i, v)
+		}
+	}
+	so, err = rexptree.StoredShardedOptions(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	so.Durability = rexptree.DurabilityOnCommit
+	ix, err = rexptree.OpenSharded(so)
+	if err != nil {
+		t.Fatalf("migrated index does not reopen durable: %v", err)
+	}
+	defer ix.Close()
+	if got := fingerprint(t, ix); got != want {
+		t.Fatalf("migrated index answers differently:\n got  %s\n want %s", got, want)
+	}
+}
+
+func pageVersion(t *testing.T, path string) int {
+	t.Helper()
+	fs, err := storage.OpenFileStoreReadOnly(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fs.Close()
+	return fs.Version()
 }

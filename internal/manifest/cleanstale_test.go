@@ -1,4 +1,4 @@
-package reshard
+package manifest
 
 import (
 	"os"

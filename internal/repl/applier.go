@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"rexptree"
-	"rexptree/internal/manifest"
 	"rexptree/internal/obs"
 	"rexptree/internal/wal"
 )
@@ -201,32 +200,15 @@ func (a *Applier) resume() error {
 // DurabilityOnCommit makes every flush a durable point, which the
 // position sidecar's guarantee rests on.
 func openReplica(base string) (*rexptree.ShardedTree, error) {
-	man, found, err := manifest.Read(manifest.Path(base))
+	// The leader never told us how its tree is configured; the manifest
+	// and the shard files themselves did, so routing matches the
+	// leader's exactly.
+	so, err := rexptree.StoredShardedOptions(base)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("repl: %w", err)
 	}
-	if !found {
-		return nil, fmt.Errorf("repl: %w: no manifest at %s", os.ErrNotExist, manifest.Path(base))
-	}
-	part := rexptree.PartitionHash
-	if man.Partition == "speed" {
-		part = rexptree.PartitionSpeed
-	}
-	// The leader never told us how its tree is configured; the shard
-	// files themselves did (layout config lives in the metadata page).
-	opts, err := rexptree.StoredOptions(manifest.ShardPath(base, man.Generation, 0))
-	if err != nil {
-		return nil, fmt.Errorf("repl: reading replica layout: %w", err)
-	}
-	opts.Path = base
-	opts.Durability = rexptree.DurabilityOnCommit
-	return rexptree.OpenSharded(rexptree.ShardedOptions{
-		Options:   opts,
-		Shards:    man.Shards,
-		Partition: part,
-		// SpeedBands stay empty: the manifest's recorded bands apply,
-		// so routing matches the leader exactly.
-	})
+	so.Durability = rexptree.DurabilityOnCommit
+	return rexptree.OpenSharded(so)
 }
 
 // bootstrap pulls one full backup stream into a fresh replica file set

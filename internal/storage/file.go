@@ -104,9 +104,9 @@ func OpenFileStore(path string) (*FileStore, error) {
 // OpenFileStoreReadOnly opens a store strictly for reading: the file
 // is opened O_RDONLY, every mutating Store method returns ErrReadOnly,
 // and Close does not rewrite the superblock — the file's bytes are
-// untouched no matter what the caller does.  The offline reshard tool
-// scans source shards through this so a crash mid-scan cannot perturb
-// the original index.
+// untouched no matter what the caller does.  The integrity scrub and
+// the stored-layout probe read through this, so inspecting an index
+// can never perturb it.
 func OpenFileStoreReadOnly(path string) (*FileStore, error) {
 	return openFileStore(path, true)
 }

@@ -28,9 +28,11 @@ package rexptree
 // A failure before the manifest rename aborts the reshard and leaves
 // the index exactly as it was; a crash after the rename recovers into
 // the new generation (every mirrored mutation and backfilled record is
-// WAL-durable under the index's own durability policy).  Stale files
-// from an interrupted run are swept by the next reshard — live or
-// offline (internal/reshard.CleanStale).
+// WAL-durable under the index's own durability policy, and a target
+// without a log is flushed to its files before the rename).  Stale
+// files from an interrupted run are swept by the next reshard
+// (manifest.CleanStale).  cmd/rexpreshard runs this same engine on a
+// closed index.
 
 import (
 	"errors"
@@ -42,7 +44,7 @@ import (
 	"rexptree/internal/geom"
 	"rexptree/internal/manifest"
 	"rexptree/internal/obs"
-	"rexptree/internal/reshard"
+	"rexptree/internal/storage"
 )
 
 // ErrReshardInFlight is returned by Reshard/StartReshard when a live
@@ -66,9 +68,12 @@ type ReshardSpec struct {
 
 	// SpeedBands are the new band boundaries under PartitionSpeed:
 	// Shards-1 non-negative, non-descending values.  Empty derives
-	// them from the drift detector's speed window when one is full, and
-	// otherwise leaves the target self-tuning (it hash-routes until it
-	// has observed TuneAfter speeds, like a fresh speed index).
+	// them — recorded as auto-tuned — from the drift detector's speed
+	// window when one is full, and otherwise from the quantiles of the
+	// current generation's live speeds, so every backfilled record
+	// lands in its band.  Only an index with no live objects leaves the
+	// target self-tuning (it hash-routes until it has observed
+	// TuneAfter speeds, like a fresh speed index).
 	SpeedBands []float64
 }
 
@@ -387,8 +392,23 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 	// Sweep leftovers of interrupted reshards out of the way first, so
 	// the target generation opens onto fresh files.
 	if s.basePath != "" {
-		if _, err := reshard.CleanStale(s.basePath, cur.gen); err != nil {
+		if _, err := manifest.CleanStale(s.basePath, cur.gen); err != nil {
 			return fmt.Errorf("rexptree: live reshard: %w", err)
+		}
+	}
+
+	// Without explicit or windowed bands, a speed target takes the
+	// quantiles of the live speeds before it exists: a self-tuning
+	// target would hash-route the backfill and leave it outside its
+	// bands.
+	if spec.Policy == PartitionSpeed && spec.Shards >= 2 && len(spec.SpeedBands) == 0 {
+		speeds, err := s.liveSpeeds(cur)
+		if err != nil {
+			return fmt.Errorf("rexptree: live reshard: %w", err)
+		}
+		if len(speeds) > 0 {
+			spec.SpeedBands = manifest.QuantileBands(speeds, spec.Shards)
+			derived = true
 		}
 	}
 
@@ -438,12 +458,7 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 	// Records the dual-apply stream touches after this point supersede
 	// their snapshot versions and are excluded from the backfill.
 	lr.phase.Store(reshardPhaseScan)
-	snapClock := 0.0
-	for _, t := range cur.shards {
-		if c := t.clockNow(); c > snapClock {
-			snapClock = c
-		}
-	}
+	snapClock := cur.clock()
 	var recs []scanRec
 	for _, t := range cur.shards {
 		if err := lr.aborted(); err != nil {
@@ -466,9 +481,9 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 	// under the exclusive re-route lock so it cannot interleave with a
 	// dual-applied mutation.  Touched ids are skipped — their snapshot
 	// version is stale — and records already expired at the snapshot
-	// clock are dropped, like the offline reshard does.
+	// clock are dropped.
 	lr.phase.Store(reshardPhaseBackfill)
-	expireAware := len(cur.shards) > 0 && cur.shards[0].t.Config().ExpireAware
+	expireAware := cur.expireAware()
 	for start := 0; start < len(recs); start += reshardBackfillChunk {
 		end := start + reshardBackfillChunk
 		if end > len(recs) {
@@ -543,6 +558,16 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 		return abortLocked(true, err)
 	}
 	if s.manifestPath != "" {
+		// A target without a log holds its pages only in its buffer
+		// pools: they reach the files before the manifest names them,
+		// so a crash after the commit point finds a complete index.
+		if s.durability == DurabilityNone {
+			for i, t := range target.shards {
+				if err := t.flush(); err != nil {
+					return abortLocked(false, fmt.Errorf("rexptree: live reshard flushing target shard %d: %w", i, err))
+				}
+			}
+		}
 		if err := s.writeManifestFile(target); err != nil {
 			return abortLocked(false, fmt.Errorf("rexptree: live reshard commit: %w", err))
 		}
@@ -589,7 +614,7 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 			// Best effort: leftovers are swept by the next reshard.
 			RemoveIndex(manifest.ShardPath(s.basePath, cur.gen, i))
 		}
-		reshard.CleanStale(s.basePath, newGen)
+		manifest.CleanStale(s.basePath, newGen)
 	}
 	s.m.ReshardRuns.Inc()
 	return nil
@@ -641,17 +666,7 @@ func (s *ShardedTree) unpublish(lr *liveReshard) {
 // generations may legitimately disagree on how many expired records
 // they have lazily purged.
 func verifyGenerations(cur, target *generation, expireAware bool) error {
-	clock := 0.0
-	for _, t := range cur.shards {
-		if c := t.clockNow(); c > clock {
-			clock = c
-		}
-	}
-	for _, t := range target.shards {
-		if c := t.clockNow(); c > clock {
-			clock = c
-		}
-	}
+	clock := max(cur.clock(), target.clock())
 	want := make(map[uint32]geom.MovingPoint)
 	for _, t := range cur.shards {
 		t.objectsInto(want)
@@ -684,6 +699,50 @@ func verifyGenerations(cur, target *generation, expireAware bool) error {
 		}
 	}
 	return nil
+}
+
+// clock is the highest clock any shard of g has applied.
+func (g *generation) clock() float64 {
+	c := 0.0
+	for _, t := range g.shards {
+		c = max(c, t.clockNow())
+	}
+	return c
+}
+
+// expireAware reports whether g's shards drop expired records.
+func (g *generation) expireAware() bool {
+	return len(g.shards) > 0 && g.shards[0].t.Config().ExpireAware
+}
+
+// liveSpeeds returns the |velocity| of every record of g that is live
+// at g's clock.
+func (s *ShardedTree) liveSpeeds(g *generation) ([]float64, error) {
+	clock, expireAware := g.clock(), g.expireAware()
+	var speeds []float64
+	for _, t := range g.shards {
+		err := t.exportRecords(func(_ uint32, mp geom.MovingPoint) error {
+			if !expireAware || mp.TExp >= clock {
+				speeds = append(speeds, manifest.Speed([3]float64(mp.Vel), s.dims))
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return speeds, nil
+}
+
+// flush writes a tree's buffered pages and its page file's superblock
+// to disk.
+func (tr *Tree) flush() error {
+	tr.lock()
+	defer tr.mu.Unlock()
+	if err := tr.t.Sync(); err != nil {
+		return err
+	}
+	return storage.SyncStore(tr.store)
 }
 
 // shutdownReshard stops the drift detector and waits out any in-flight

@@ -11,7 +11,7 @@ import (
 	"testing"
 	"time"
 
-	"rexptree/internal/reshard"
+	"rexptree/internal/manifest"
 )
 
 // liveStepBatch builds one step of a mutation stream: re-reports of
@@ -138,7 +138,7 @@ func TestLiveReshardFileBacked(t *testing.T) {
 		t.Fatalf("live reshard: %v", err)
 	}
 	requireSameFingerprint(t, fingerprintIndex(t, s, 1), fingerprintIndex(t, ref, 1), "resharded index")
-	if removed, err := reshard.CleanStale(base, s.Generation()); err != nil || len(removed) != 0 {
+	if removed, err := manifest.CleanStale(base, s.Generation()); err != nil || len(removed) != 0 {
 		t.Fatalf("stale files survived the reshard: %v (err %v)", removed, err)
 	}
 	if err := s.Close(); err != nil {
@@ -157,6 +157,45 @@ func TestLiveReshardFileBacked(t *testing.T) {
 		t.Fatalf("reopened generation %d, want 1", g)
 	}
 	requireSameFingerprint(t, fingerprintIndex(t, re, 1), fingerprintIndex(t, ref, 1), "reopened resharded index")
+}
+
+// TestLiveReshardSpeedBandsFromData reshards a hash index to speed
+// partitioning without giving bands (and with no drift window to take
+// them from): the engine must derive them from the live speeds before
+// it builds the target, so every backfilled object lands on its band's
+// shard, and record them as auto-tuned.
+func TestLiveReshardSpeedBandsFromData(t *testing.T) {
+	s, err := OpenSharded(ShardedOptions{Options: DefaultOptions(), Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.UpdateBatch(liveStepBatch(5000, 3, 0, 1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Reshard(ReshardSpec{Shards: 2, Policy: PartitionSpeed}); err != nil {
+		t.Fatal(err)
+	}
+	g := s.pin()
+	defer g.unpin()
+	bands, tuned := g.part.(*speedPartitioner).Bands()
+	if len(bands) != 1 || !tuned {
+		t.Fatalf("bands %v (auto-tuned %v), want one derived boundary", bands, tuned)
+	}
+	misplaced, total := 0, 0
+	for i, tr := range g.shards {
+		tr.mu.RLock()
+		for _, mp := range tr.objects {
+			total++
+			if manifest.SpeedBandOf(bands, manifest.Speed([3]float64(mp.Vel), s.dims)) != i {
+				misplaced++
+			}
+		}
+		tr.mu.RUnlock()
+	}
+	if total != 5000 || misplaced != 0 {
+		t.Fatalf("%d of %d objects outside their band's shard", misplaced, total)
+	}
 }
 
 // TestLiveReshardBadSpec checks spec validation.
@@ -282,7 +321,7 @@ func TestLiveReshardCrashMatrix(t *testing.T) {
 			}
 			requireSameFingerprint(t, fingerprintIndex(t, re, 2), fingerprintIndex(t, ref, 2),
 				"re-resharded index after crash at "+point)
-			if removed, err := reshard.CleanStale(base, re.Generation()); err != nil || len(removed) != 0 {
+			if removed, err := manifest.CleanStale(base, re.Generation()); err != nil || len(removed) != 0 {
 				t.Fatalf("stale files survived recovery reshard after crash at %s: %v (err %v)", point, removed, err)
 			}
 		})

@@ -63,6 +63,38 @@ func StoredOptions(pagePath string) (Options, error) {
 	return opts, nil
 }
 
+// StoredShardedOptions reads the file-backed sharded index at base as
+// it is stored — its manifest, then shard 0's layout through
+// StoredOptions — and returns ShardedOptions that reopen it
+// faithfully: the manifest's shard count, partition policy and
+// durability policy, with the recorded speed bands applied by
+// OpenSharded itself, and every other field at its default.  Opening
+// the result runs normal recovery, so a crashed durable index replays
+// its write-ahead logs.  A missing manifest is reported as an error
+// wrapping os.ErrNotExist.
+func StoredShardedOptions(base string) (ShardedOptions, error) {
+	man, found, err := manifest.Read(manifest.Path(base))
+	if err != nil {
+		return ShardedOptions{}, fmt.Errorf("rexptree: %w", err)
+	}
+	if !found {
+		return ShardedOptions{}, fmt.Errorf("rexptree: %w: no manifest at %s", os.ErrNotExist, manifest.Path(base))
+	}
+	opts, err := StoredOptions(manifest.ShardPath(base, man.Generation, 0))
+	if err != nil {
+		return ShardedOptions{}, fmt.Errorf("rexptree: reading the stored layout of %s: %w", base, err)
+	}
+	opts.Path = base
+	if opts.Durability, err = ParseDurability(man.Durability); err != nil {
+		return ShardedOptions{}, err
+	}
+	so := ShardedOptions{Options: opts, Shards: man.Shards}
+	if so.Partition, err = ParsePartitionPolicy(man.Partition); err != nil {
+		return ShardedOptions{}, err
+	}
+	return so, nil
+}
+
 // replNoteUpdate forwards an applied update to the sink, if any.
 // Called under mu after the apply succeeded.
 func (tr *Tree) replNoteUpdate(id uint32, p Point, now float64) {

@@ -3,15 +3,18 @@ package rexptree
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
-	"rexptree/internal/reshard"
+	"rexptree/internal/manifest"
 	"rexptree/internal/storage"
 )
 
@@ -194,14 +197,43 @@ func applyStream(t *testing.T, ix movingIndex, deletes []uint32, updates []Repor
 	}
 }
 
-// TestReshardMatrix drives the K → K′ matrix: hash sources with K ∈
-// {1, 2, 4} resharded to hash targets with K′ ∈ {1, 2, 3, 4, 8}, plus
-// the policy transitions (hash → speed with fixed bands, self-tuned
-// speed → hash).  After every reshard the index must answer all four
-// query types element-wise identically to the single-tree reference —
-// both immediately and after a further update stream that re-reports,
-// inserts and deletes objects (crossing speed bands, so speed targets
-// re-route).
+// reshardClosed is rexpreshard's pass over a closed index: open it as
+// stored, reshard it under spec, close it.
+func reshardClosed(base string, spec ReshardSpec) error {
+	so, err := StoredShardedOptions(base)
+	if err != nil {
+		return err
+	}
+	ix, err := OpenSharded(so)
+	if err != nil {
+		return err
+	}
+	if err := ix.Reshard(spec); err != nil {
+		ix.Close()
+		return err
+	}
+	return ix.Close()
+}
+
+// buildReshardTool builds cmd/rexpreshard for the tests that drive the
+// command line itself.
+func buildReshardTool(t *testing.T) string {
+	t.Helper()
+	bin := filepath.Join(t.TempDir(), "rexpreshard")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/rexpreshard").CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	return bin
+}
+
+// TestReshardMatrix drives the K → K′ matrix of closed-index reshards:
+// hash sources with K ∈ {1, 2, 4} resharded to hash targets with
+// K′ ∈ {1, 2, 3, 4, 8}, plus the policy transitions (hash → speed with
+// fixed bands, self-tuned speed → hash).  After every reshard the
+// index must answer all four query types element-wise identically to
+// the single-tree reference — right after the reshard, after a further
+// update stream that re-reports, inserts and deletes objects (crossing
+// speed bands, so speed targets re-route), and after a reopen.
 func TestReshardMatrix(t *testing.T) {
 	deletes := []uint32{5, 11, 50, 500, 797}
 	const now2 = 5.0
@@ -220,26 +252,21 @@ func TestReshardMatrix(t *testing.T) {
 			mixedSpeedWorkload(800, 7, 0), mixedSpeedWorkload(300, 7, 1)},
 	}
 
-	type targetCase struct {
-		shards int
-		policy string
-		bands  []float64
-	}
 	allBands := []float64{0.5, 2, 8, 15, 30, 50, 100}
-	targetsFor := func(src string) []targetCase {
-		var out []targetCase
+	targetsFor := func(src string) []ReshardSpec {
+		var out []ReshardSpec
 		switch src {
 		case "speed-auto-4":
 			for _, k := range []int{1, 2, 4} {
-				out = append(out, targetCase{k, "hash", nil})
+				out = append(out, ReshardSpec{Shards: k, Policy: PartitionHash})
 			}
 		default:
 			for _, k := range []int{1, 2, 3, 4, 8} {
-				out = append(out, targetCase{k, "hash", nil})
+				out = append(out, ReshardSpec{Shards: k, Policy: PartitionHash})
 			}
 			if src == "hash-4" {
 				for _, k := range []int{1, 2, 3, 4, 8} {
-					out = append(out, targetCase{k, "speed", allBands[:k-1]})
+					out = append(out, ReshardSpec{Shards: k, Policy: PartitionSpeed, SpeedBands: allBands[:k-1]})
 				}
 			}
 		}
@@ -281,47 +308,30 @@ func TestReshardMatrix(t *testing.T) {
 
 			for _, tg := range targetsFor(src.name) {
 				tg := tg
-				t.Run(fmt.Sprintf("to-%s-%d", tg.policy, tg.shards), func(t *testing.T) {
+				t.Run(fmt.Sprintf("to-%s-%d", tg.Policy, tg.Shards), func(t *testing.T) {
 					dir := t.TempDir()
 					copyIndexFiles(t, srcDir, dir)
 					base := filepath.Join(dir, "idx")
-
-					res, err := reshard.Run(reshard.Options{
-						Path: base, Shards: tg.shards, Policy: tg.policy, SpeedBands: tg.bands,
-					})
-					if err != nil {
+					if err := reshardClosed(base, tg); err != nil {
 						t.Fatal(err)
 					}
-					if res.Generation != 1 {
-						t.Fatalf("generation %d after first reshard, want 1", res.Generation)
-					}
-					if res.SourceShards != src.opts.Shards || res.TargetShards != tg.shards {
-						t.Fatalf("result shard counts %d -> %d, want %d -> %d",
-							res.SourceShards, res.TargetShards, src.opts.Shards, tg.shards)
-					}
-					if res.Expired != 0 || res.Live != base0.size || res.Scanned != res.Live {
-						t.Fatalf("entry accounting %d scanned / %d live / %d expired, want %d live",
-							res.Scanned, res.Live, res.Expired, base0.size)
-					}
-					routed := 0
-					for _, n := range res.Routed {
-						routed += n
-					}
-					if routed != res.Live {
-						t.Fatalf("routed %d entries of %d live", routed, res.Live)
-					}
 
-					ro := ShardedOptions{Options: fileOpts(base), Shards: tg.shards}
-					if tg.policy == "speed" {
-						ro.Partition = PartitionSpeed
-						ro.SpeedBands = tg.bands
-					}
+					ro := ShardedOptions{Options: fileOpts(base), Shards: tg.Shards,
+						Partition: tg.Policy, SpeedBands: tg.SpeedBands}
 					ix, err := OpenSharded(ro)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if ix.Generation() != 1 {
 						t.Fatalf("reopened generation %d, want 1", ix.Generation())
+					}
+					// Every stored entry is live and sits on one target shard.
+					routed := 0
+					for i := 0; i < ix.NumShards(); i++ {
+						routed += ix.ShardMetrics(i).LeafEntries
+					}
+					if routed != base0.size {
+						t.Fatalf("%d entries across the target shards, want %d live", routed, base0.size)
 					}
 					requireSameFingerprint(t, fingerprintIndex(t, ix, 0), base0, "resharded")
 
@@ -384,19 +394,20 @@ func TestReshardRoundTrip(t *testing.T) {
 	if err := st.Update(tick.ID, tick.Point, 100); err != nil {
 		t.Fatal(err)
 	}
+	stored := st.Len()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	res1, err := reshard.Run(reshard.Options{Path: basePath, Shards: 2, Policy: "speed"})
+	if err := reshardClosed(basePath, ReshardSpec{Shards: 2, Policy: PartitionSpeed}); err != nil {
+		t.Fatal(err)
+	}
+	man, _, err := manifest.Read(manifest.Path(basePath))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res1.Retuned || len(res1.SpeedBands) != 1 {
-		t.Fatalf("expected re-tuned bands, got retuned=%v bands=%v", res1.Retuned, res1.SpeedBands)
-	}
-	if res1.Expired == 0 {
-		t.Fatalf("no entries expired at clock %.1f; the fixture should have many", res1.Clock)
+	if !man.AutoTuned || len(man.SpeedBands) != 1 {
+		t.Fatalf("expected re-tuned bands, got auto_tuned=%v bands=%v", man.AutoTuned, man.SpeedBands)
 	}
 	sp, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2, Partition: PartitionSpeed})
 	if err != nil {
@@ -405,21 +416,17 @@ func TestReshardRoundTrip(t *testing.T) {
 	if sp.Generation() != 1 {
 		t.Fatalf("generation %d, want 1", sp.Generation())
 	}
+	live := sp.Len()
+	if live >= stored {
+		t.Fatalf("%d entries after the reshard of %d stored at clock 100; the expired ones should be dropped", live, stored)
+	}
 	requireSameFingerprint(t, fingerprintIndex(t, sp, 100), base, "hash-4 -> speed-2")
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	res2, err := reshard.Run(reshard.Options{Path: basePath, Shards: 4, Policy: "hash"})
-	if err != nil {
+	if err := reshardClosed(basePath, ReshardSpec{Shards: 4, Policy: PartitionHash}); err != nil {
 		t.Fatal(err)
-	}
-	if res2.Generation != 2 {
-		t.Fatalf("generation %d after second reshard, want 2", res2.Generation)
-	}
-	// The first reshard already purged the expired entries.
-	if res2.Expired != 0 || res2.Scanned != res1.Live {
-		t.Fatalf("second reshard scanned %d / expired %d, want %d / 0", res2.Scanned, res2.Expired, res1.Live)
 	}
 	hs, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 4})
 	if err != nil {
@@ -428,15 +435,20 @@ func TestReshardRoundTrip(t *testing.T) {
 	if hs.Generation() != 2 {
 		t.Fatalf("generation %d, want 2", hs.Generation())
 	}
+	// The first reshard already dropped the expired entries.
+	if n := hs.Len(); n != live {
+		t.Fatalf("second reshard kept %d entries, want the %d the first left", n, live)
+	}
 	requireSameFingerprint(t, fingerprintIndex(t, hs, 100), base, "speed-2 -> hash-4")
 	if err := hs.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReshardSingleTreeSource converts a manifest-less single tree
-// file into a sharded index.
+// TestReshardSingleTreeSource has rexpreshard convert a manifest-less
+// single tree file into a sharded index.
 func TestReshardSingleTreeSource(t *testing.T) {
+	bin := buildReshardTool(t)
 	reports := testWorkload(500, 31)
 	objs := make([]BulkObject, len(reports))
 	for i, r := range reports {
@@ -454,9 +466,17 @@ func TestReshardSingleTreeSource(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := reshard.Run(reshard.Options{Path: basePath, Shards: 3, Policy: "hash"})
+	out, err := exec.Command(bin, "-path", basePath, "-shards", "3", "-quiet", "-json").Output()
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("rexpreshard: %v", err)
+	}
+	var res struct {
+		SourceShards int    `json:"source_shards"`
+		SourcePolicy string `json:"source_policy"`
+		Generation   int    `json:"generation"`
+	}
+	if err := json.Unmarshal(out, &res); err != nil {
+		t.Fatalf("%v\n%s", err, out)
 	}
 	if res.SourcePolicy != "single" || res.SourceShards != 1 || res.Generation != 1 {
 		t.Fatalf("source %q/%d gen %d, want single/1 gen 1", res.SourcePolicy, res.SourceShards, res.Generation)
@@ -476,13 +496,23 @@ func TestReshardSingleTreeSource(t *testing.T) {
 	}
 }
 
-// TestReshardCrashInjection aborts a reshard at every phase boundary —
-// mid-scan (source read fault), mid-load (target write fault), before
-// the first commit rename, between commit renames, and after the shard
-// renames but before the manifest rename — and checks the crash
-// contract: every file the original index references is byte-for-byte
-// untouched, the original reopens and answers queries identically, and
-// simply re-running the same reshard succeeds.
+// TestReshardCrashInjection kills a closed-index reshard at every
+// phase boundary and checks the crash contract: every file the
+// original (cleanly closed, non-durable) index references is
+// byte-for-byte untouched, the original reopens and answers queries
+// identically, and simply re-running the same reshard succeeds.
+//
+//   - mid-scan: a source page read fails while the index is opened
+//     (the open reads every stored page to rebuild the object table).
+//   - mid-load: a target page write fails while the target generation
+//     is built.
+//   - pre-rename: the process dies with the target loaded, before it
+//     is verified.
+//   - pre-manifest-rename: the process dies with the target verified,
+//     just before the manifest rename that commits it.
+//
+// The engine builds its target under the final file names, so the
+// offline engine's crash between per-shard renames has no counterpart.
 func TestReshardCrashInjection(t *testing.T) {
 	reports := testWorkload(500, 47)
 	single, err := Open(DefaultOptions())
@@ -507,49 +537,33 @@ func TestReshardCrashInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	errBoom := errors.New("boom")
-	failRenameAt := func(n int) func(*reshard.Options) {
-		return func(o *reshard.Options) {
-			calls := 0
-			o.BeforeRename = func(from, to string) error {
-				calls++
-				if calls == n+1 {
-					return errBoom
+	// faultStore arms a fault on the nth page store the index opens:
+	// stores 0 and 1 are the source shards, 2.. the target's.
+	faultStore := func(n int, reads bool, after int) func(*ShardedOptions) {
+		return func(so *ShardedOptions) {
+			var opened atomic.Int32
+			so.testWrapStore = func(s storage.Store) storage.Store {
+				if int(opened.Add(1))-1 != n {
+					return s
 				}
-				return nil
+				fs := &storage.FaultStore{Inner: s, FailReads: reads, FailWrites: !reads}
+				fs.Arm(after)
+				return fs
 			}
 		}
 	}
+	errBoom := errors.New("boom")
 	cases := []struct {
 		name   string
-		inject func(*reshard.Options)
+		inject func(*ShardedOptions)
+		hook   string
 	}{
-		{"mid-scan", func(o *reshard.Options) {
-			o.WrapSource = func(i int, s storage.Store) storage.Store {
-				if i != 1 {
-					return s
-				}
-				fs := storage.NewFaultStore(s)
-				fs.Arm(4)
-				return fs
-			}
-		}},
-		{"mid-load", func(o *reshard.Options) {
-			o.WrapTarget = func(i int, s storage.Store) storage.Store {
-				if i != 1 {
-					return s
-				}
-				fs := storage.NewFaultStore(s)
-				fs.Arm(3)
-				return fs
-			}
-		}},
-		{"pre-rename", failRenameAt(0)},
-		{"mid-rename", failRenameAt(1)},
-		// All three shard files renamed, manifest rename refused: the
-		// commit point itself.
-		{"pre-manifest-rename", failRenameAt(3)},
+		{"mid-scan", faultStore(1, true, 2), ""},
+		{"mid-load", faultStore(3, false, 3), ""},
+		{"pre-rename", nil, "verify"},
+		{"pre-manifest-rename", nil, "pre-rename"},
 	}
+	spec := ReshardSpec{Shards: 3, Policy: PartitionHash}
 
 	for _, c := range cases {
 		c := c
@@ -559,9 +573,25 @@ func TestReshardCrashInjection(t *testing.T) {
 			basePath := filepath.Join(dir, "idx")
 			before := hashDir(t, dir)
 
-			o := reshard.Options{Path: basePath, Shards: 3, Policy: "hash"}
-			c.inject(&o)
-			if _, err := reshard.Run(o); err == nil {
+			so, err := StoredShardedOptions(basePath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.inject != nil {
+				c.inject(&so)
+			}
+			ix, err := OpenSharded(so)
+			if err == nil {
+				ix.testReshardHook = func(point string) error {
+					if point == c.hook {
+						return errBoom
+					}
+					return nil
+				}
+				err = ix.Reshard(spec)
+				ix.Abandon() // the process dies here
+			}
+			if err == nil {
 				t.Fatal("injected crash did not abort the reshard")
 			}
 
@@ -574,7 +604,7 @@ func TestReshardCrashInjection(t *testing.T) {
 				}
 			}
 
-			ix, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2})
+			ix, err = OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2})
 			if err != nil {
 				t.Fatalf("original index does not reopen after crash: %v", err)
 			}
@@ -588,16 +618,15 @@ func TestReshardCrashInjection(t *testing.T) {
 
 			// Retry: the identical invocation, no faults, must succeed
 			// (cleaning up whatever the crashed attempt left behind).
-			res, err := reshard.Run(reshard.Options{Path: basePath, Shards: 3, Policy: "hash"})
-			if err != nil {
+			if err := reshardClosed(basePath, spec); err != nil {
 				t.Fatalf("retry after %s crash failed: %v", c.name, err)
-			}
-			if res.Generation != 1 {
-				t.Fatalf("retry committed generation %d, want 1", res.Generation)
 			}
 			ix2, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 3})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if ix2.Generation() != 1 {
+				t.Fatalf("retry committed generation %d, want 1", ix2.Generation())
 			}
 			requireSameFingerprint(t, fingerprintIndex(t, ix2, 0), base, "retry result")
 			if err := ix2.Close(); err != nil {
@@ -607,9 +636,68 @@ func TestReshardCrashInjection(t *testing.T) {
 	}
 }
 
-// TestReshardBadOptions checks that invalid invocations fail up front
-// without creating any files.
+// TestReshardCrashAfterCommit kills a closed-index reshard of a
+// non-durable index right after its manifest rename, before the close:
+// the committed generation has no log to recover from, so the engine
+// must have written it out before naming it.
+func TestReshardCrashAfterCommit(t *testing.T) {
+	reports := testWorkload(500, 53)
+	single, err := Open(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	if err := single.UpdateBatch(reports, 0); err != nil {
+		t.Fatal(err)
+	}
+	base := fingerprintIndex(t, single, 0)
+
+	basePath := filepath.Join(t.TempDir(), "idx")
+	st, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.UpdateBatch(reports, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	so, err := StoredShardedOptions(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := OpenSharded(so)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix.testReshardHook = func(point string) error {
+		if point == "post-rename" {
+			return errLiveBoom
+		}
+		return nil
+	}
+	if err := ix.Reshard(ReshardSpec{Shards: 3, Policy: PartitionHash}); !errors.Is(err, errLiveBoom) {
+		t.Fatalf("reshard error = %v, want the injected crash", err)
+	}
+	ix.Abandon()
+
+	re, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 3})
+	if err != nil {
+		t.Fatalf("committed index does not reopen: %v", err)
+	}
+	defer re.Close()
+	if re.Generation() != 1 {
+		t.Fatalf("generation %d after a crash past the commit, want 1", re.Generation())
+	}
+	requireSameFingerprint(t, fingerprintIndex(t, re, 0), base, "committed index after crash")
+}
+
+// TestReshardBadOptions checks that rexpreshard refuses invalid
+// invocations without changing any file of the index.
 func TestReshardBadOptions(t *testing.T) {
+	bin := buildReshardTool(t)
 	dir := t.TempDir()
 	basePath := filepath.Join(dir, "idx")
 	st, err := OpenSharded(ShardedOptions{Options: fileOpts(basePath), Shards: 2})
@@ -623,20 +711,21 @@ func TestReshardBadOptions(t *testing.T) {
 
 	cases := []struct {
 		name string
-		opts reshard.Options
+		args []string
 	}{
-		{"no path", reshard.Options{Shards: 2, Policy: "hash"}},
-		{"no shards", reshard.Options{Path: basePath, Policy: "hash"}},
-		{"bad policy", reshard.Options{Path: basePath, Shards: 2, Policy: "round-robin"}},
-		{"bands under hash", reshard.Options{Path: basePath, Shards: 2, Policy: "hash", SpeedBands: []float64{1}}},
-		{"descending bands", reshard.Options{Path: basePath, Shards: 3, Policy: "speed", SpeedBands: []float64{2, 1}}},
-		{"band count", reshard.Options{Path: basePath, Shards: 2, Policy: "speed", SpeedBands: []float64{1, 2}}},
-		{"missing index", reshard.Options{Path: filepath.Join(dir, "nope"), Shards: 2, Policy: "hash"}},
-		{"retune empty index", reshard.Options{Path: basePath, Shards: 2, Policy: "speed"}},
+		{"no path", []string{"-shards", "2"}},
+		{"no shards", []string{"-path", basePath}},
+		{"bad policy", []string{"-path", basePath, "-shards", "2", "-partition", "round-robin"}},
+		{"bands under hash", []string{"-path", basePath, "-shards", "2", "-bands", "1"}},
+		{"descending bands", []string{"-path", basePath, "-shards", "3", "-partition", "speed", "-bands", "2,1"}},
+		{"band count", []string{"-path", basePath, "-shards", "2", "-partition", "speed", "-bands", "1,2"}},
+		{"missing index", []string{"-path", filepath.Join(dir, "nope"), "-shards", "2"}},
+		{"retune empty index", []string{"-path", basePath, "-shards", "2", "-partition", "speed"}},
 	}
 	for _, c := range cases {
-		if _, err := reshard.Run(c.opts); err == nil {
-			t.Errorf("%s: accepted", c.name)
+		err := exec.Command(bin, append(c.args, "-quiet")...).Run()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("%s: exit %v, want status 1", c.name, err)
 		}
 	}
 	after := hashDir(t, dir)

@@ -516,8 +516,8 @@ func (s *ShardedTree) SpeedBands() []float64 {
 }
 
 // shardIndex hashes an object id onto a shard.  The scheme (the
-// murmur3 finalizer, recorded in the manifest) is shared with the
-// offline reshard tool via internal/manifest.
+// murmur3 finalizer, recorded in the manifest) lives in
+// internal/manifest, so every reader of a stored index routes alike.
 func shardIndex(id uint32, n int) int {
 	return manifest.ShardIndex(id, n)
 }
