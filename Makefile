@@ -1,6 +1,6 @@
 # Makefile — CI entry points for the rexptree repository.
 #
-#   make check            fmt-check + vet + build + tests + race + bench smokes
+#   make check            fmt-check + vet + build + tests + race + lbsbench unit tests + bench smokes
 #   make bench-obs        metrics-overhead microbenchmark -> BENCH_obs.json
 #   make bench-shard      concurrent-throughput comparison -> BENCH_shard.json
 #   make bench-partition  hash vs speed partitioning -> BENCH_partition.json
@@ -16,11 +16,11 @@
 
 GO ?= go
 
-.PHONY: all check fmt-check vet build test race fuzz-smoke bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-kernel-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
+.PHONY: all check fmt-check vet build test race lbsbench-test fuzz-smoke bench-obs bench-obs-smoke bench-shard bench-partition bench-partition-smoke bench-wal bench-wal-smoke bench-read bench-read-smoke bench-kernel-smoke bench-reshard bench-reshard-smoke bench-trace bench-trace-smoke serve-smoke bench-serve bench-serve-smoke bench-repl bench-repl-smoke fault-matrix clean
 
 all: check bench-obs bench-shard bench-partition bench-wal bench-read bench-reshard bench-trace bench-serve bench-repl
 
-check: fmt-check vet build test race bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-kernel-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
+check: fmt-check vet build test race lbsbench-test bench-obs-smoke bench-partition-smoke bench-wal-smoke bench-read-smoke bench-kernel-smoke bench-reshard-smoke bench-trace-smoke serve-smoke bench-serve-smoke bench-repl-smoke
 
 # Fails (with the offending file list) if anything is not gofmt-clean.
 fmt-check:
@@ -41,6 +41,12 @@ test:
 # scrapes) and queries fan out while parallel Update load runs.
 race:
 	$(GO) test -race ./...
+
+# The serving benchmark is its own module (lbsbench/go.mod), so
+# "go test ./..." above does not reach it; run its unit tests in short
+# mode (the seconds-long workload smokes are skipped).
+lbsbench-test:
+	cd lbsbench && $(GO) test -short ./...
 
 # A short run of each native fuzz target: the manifest decode/encode
 # round trip, the time-parameterized intersection kernel, the

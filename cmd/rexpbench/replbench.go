@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"rexptree"
+	"rexptree/internal/obs"
 	"rexptree/internal/repl"
 )
 
@@ -162,7 +163,7 @@ func runReplBench(objects, shards int, durationSec float64, seed int64, out stri
 	}
 	catchup := time.Since(t0).Seconds()
 	hst := hub.Stats()
-	bytes := int64(hst.SnapshotBytes) + int64(hst.FeedBytes)
+	bytes := int64(hst.Uint(obs.ReplSnapshotBytes)) + int64(hst.Uint(obs.ReplFeedBytes))
 	report.Catchup = replCatchup{
 		Records: objects,
 		Bytes:   bytes,
@@ -228,13 +229,13 @@ func runReplBench(objects, shards int, durationSec float64, seed int64, out stri
 	if len(lagSamples) > 0 {
 		mean /= float64(len(lagSamples))
 	}
-	report.Steady.Applied = ast.AppliedRecords
+	report.Steady.Applied = ast.Uint(obs.ReplAppliedRecords)
 	report.Steady.MeanLagS = mean
 	report.Steady.MaxLagS = maxLagS
 	report.Steady.MaxLagBytes = maxLagB
 	report.Steady.FinalLagS = app.LagSeconds()
-	report.Steady.FrameErrors = ast.FrameErrors
-	report.Steady.Reconnects = ast.Reconnects
+	report.Steady.FrameErrors = ast.Uint(obs.ReplFrameErrors)
+	report.Steady.Reconnects = ast.Uint(obs.ReplReconnects)
 	if report.Leader.AlonePerSec > 0 {
 		report.Leader.OverheadPct = 100 * (1 - report.Leader.StreamingPerSec/report.Leader.AlonePerSec)
 	}

@@ -153,7 +153,7 @@ func runPaired(ops []workload.Op, seed int64) ([2]result, error) {
 			res[side].QueriesPerSec = float64(res[side].Queries) / res[side].QuerySeconds
 		}
 	}
-	res[1].SplitsObserved = met.Splits.Load()
+	res[1].SplitsObserved = met.Load(obs.Splits)
 	return res, nil
 }
 

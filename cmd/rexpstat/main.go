@@ -212,8 +212,8 @@ func main() {
 		fmt.Printf("I/O           : %d reads, %d writes (%d dirty writebacks), %d buffer hits, %d evictions\n",
 			io.Reads, io.Writes, io.DirtyWritebacks, io.Hits, io.Evictions)
 		fmt.Printf("structure ops : %d splits, %d forced reinserts, %d condenses, %d purged, %d orphans reinserted\n",
-			met.Splits.Load(), met.ForcedReinserts.Load(), met.Condenses.Load(),
-			met.ExpiredPurged.Load(), met.OrphansReinserted.Load())
+			met.Load(obs.Splits), met.Load(obs.ForcedReinserts), met.Load(obs.Condenses),
+			met.Load(obs.ExpiredPurged), met.Load(obs.OrphansReinserted))
 		fmt.Printf("UI estimate   : %.1f (assumed W %.1f)\n", tree.UI(), tree.W())
 	}
 	if *check {

@@ -82,7 +82,7 @@ func (tr *Tree) walLogUpdate(id uint32, p Point, now float64) error {
 	if err := tr.wal.Append(tr.walBuf); err != nil {
 		return err
 	}
-	tr.m.WALAppends.Inc()
+	tr.m.Inc(obs.WALAppends)
 	return nil
 }
 
@@ -92,7 +92,7 @@ func (tr *Tree) walLogDelete(id uint32, now float64) error {
 	if err := tr.wal.Append(tr.walBuf); err != nil {
 		return err
 	}
-	tr.m.WALAppends.Inc()
+	tr.m.Inc(obs.WALAppends)
 	return nil
 }
 
@@ -186,7 +186,7 @@ func (tr *Tree) checkpointLocked() error {
 	if err := tr.wal.Reset(); err != nil {
 		return err
 	}
-	tr.m.Checkpoints.Inc()
+	tr.m.Inc(obs.Checkpoints)
 	tr.m.ObservePhase(obs.PhaseCheckpoint, time.Since(start))
 	return nil
 }
@@ -320,14 +320,14 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 			if expireAware && mp.TExp <= clock {
 				// Short-lived data: the report expired before the crash
 				// was recovered; replaying it would only be purged again.
-				tr.m.RecoveryDroppedExpired.Inc()
+				tr.m.Inc(obs.RecoveryDroppedExpired)
 				continue
 			}
 			if err := t.Insert(u.ID, mp, u.Now); err != nil {
 				return false, err
 			}
 			tr.objects[u.ID] = t.Stored(mp)
-			tr.m.RecoveryReplayed.Inc()
+			tr.m.Inc(obs.RecoveryReplayed)
 		case wal.RecDelete:
 			d := rec.Delete
 			if old, ok := tr.objects[d.ID]; ok {
@@ -336,7 +336,7 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 					return false, err
 				}
 			}
-			tr.m.RecoveryReplayed.Inc()
+			tr.m.Inc(obs.RecoveryReplayed)
 		}
 	}
 	tc.endAt(ri)
@@ -363,7 +363,7 @@ func recoverDurable(opts Options, fs *storage.FileStore, store storage.Store, cf
 	if err := fs.MarkDirty(); err != nil {
 		return false, err
 	}
-	tr.m.RecoveryDuration.Observe(time.Since(start))
+	tr.m.Observe(obs.RecoveryDuration, time.Since(start))
 	return false, nil
 }
 

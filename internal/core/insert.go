@@ -64,7 +64,7 @@ func (t *Tree) drainOrphans(orphans *[]orphan) error {
 		o := (*orphans)[best]
 		*orphans = append((*orphans)[:best], (*orphans)[best+1:]...)
 		if t.met != nil {
-			t.met.OrphansReinserted.Inc()
+			t.met.Inc(obs.OrphansReinserted)
 			t.met.Emit(obs.Event{Kind: obs.EvOrphanReinserted, Level: o.level, N: 1})
 		}
 		if err := t.insertOrphan(o, orphans); err != nil {
@@ -141,7 +141,7 @@ func (t *Tree) replaceEmptyRoot(level int) error {
 // entries are never chosen while any live entry exists.
 func (t *Tree) chooseChild(n *node, r geom.TPRect) int {
 	if t.met != nil {
-		t.met.ChooseSubtree.Inc()
+		t.met.Inc(obs.ChooseSubtree)
 	}
 	if t.cfg.UseOverlapHeuristic && n.level == 1 {
 		if best := t.chooseChildOverlap(n, r); best >= 0 {
@@ -241,7 +241,7 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 				t.reinsertedAt |= bit
 				moved := t.pickReinsert(n)
 				if t.met != nil {
-					t.met.ForcedReinserts.Inc()
+					t.met.Inc(obs.ForcedReinserts)
 					t.met.Emit(obs.Event{Kind: obs.EvForcedReinsert, Level: n.level, N: len(moved)})
 				}
 				for _, e := range moved {
@@ -270,7 +270,7 @@ func (t *Tree) propagateUp(path []*node, orphans *[]orphan) error {
 		case !isRoot && len(n.entries) < t.lay.min(n.level):
 			// PU2: orphan the live entries and drop the node.
 			if t.met != nil {
-				t.met.Condenses.Inc()
+				t.met.Inc(obs.Condenses)
 				t.met.Emit(obs.Event{Kind: obs.EvCondense, Level: n.level, N: len(n.entries)})
 			}
 			for _, e := range n.entries {

@@ -44,8 +44,8 @@ func TestObserverInsertSplitOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if met.Splits.Load() != 0 {
-		t.Fatalf("splits = %d before overflow", met.Splits.Load())
+	if met.Load(obs.Splits) != 0 {
+		t.Fatalf("splits = %d before overflow", met.Load(obs.Splits))
 	}
 	rec.reset()
 	if err := tr.Insert(uint32(cap), randPoint(rng, 1e9), 0); err != nil {
@@ -66,8 +66,8 @@ func TestObserverInsertSplitOrdering(t *testing.T) {
 	if splits[0].Level != 0 || splits[0].N < 1 {
 		t.Errorf("split event = %+v, want level 0, N >= 1", splits[0])
 	}
-	if met.Splits.Load() != 1 {
-		t.Errorf("splits counter = %d, want 1", met.Splits.Load())
+	if met.Load(obs.Splits) != 1 {
+		t.Errorf("splits counter = %d, want 1", met.Load(obs.Splits))
 	}
 	if tr.Height() != 2 {
 		t.Errorf("height = %d after root split, want 2", tr.Height())
@@ -107,10 +107,10 @@ func TestObserverForcedReinsertOrdering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if met.ForcedReinserts.Load() == 0 {
+	if met.Load(obs.ForcedReinserts) == 0 {
 		t.Fatal("no forced reinsertion in an overflowing workload")
 	}
-	if met.OrphansReinserted.Load() == 0 {
+	if met.Load(obs.OrphansReinserted) == 0 {
 		t.Fatal("no orphans reinserted despite forced reinsertion")
 	}
 	checkOrphanOrdering(t, rec.events)
@@ -178,7 +178,7 @@ func TestObserverDeleteCondenseOrdering(t *testing.T) {
 	if !sawCondense {
 		t.Fatal("no condense observed across the deletion sweep")
 	}
-	if met.Condenses.Load() == 0 {
+	if met.Load(obs.Condenses) == 0 {
 		t.Error("condense counter still zero")
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -198,10 +198,10 @@ func TestQueryCountersAccumulate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if met.ChooseSubtree.Load() == 0 {
+	if met.Load(obs.ChooseSubtree) == 0 {
 		t.Error("no ChooseSubtree descents counted during insertions")
 	}
-	visits, scans := met.NodeVisits.Load(), met.LeafScans.Load()
+	visits, scans := met.Load(obs.NodeVisits), met.Load(obs.LeafScans)
 	if visits != 0 || scans != 0 {
 		t.Fatalf("query counters moved before any query: visits=%d scans=%d", visits, scans)
 	}
@@ -213,18 +213,18 @@ func TestQueryCountersAccumulate(t *testing.T) {
 	if len(res) != n {
 		t.Fatalf("whole-world query found %d of %d", len(res), n)
 	}
-	if met.NodeVisits.Load() == 0 {
+	if met.Load(obs.NodeVisits) == 0 {
 		t.Error("search did not count node visits")
 	}
-	if met.LeafScans.Load() < n {
-		t.Errorf("leaf scans = %d after a whole-world query over %d entries", met.LeafScans.Load(), n)
+	if met.Load(obs.LeafScans) < n {
+		t.Errorf("leaf scans = %d after a whole-world query over %d entries", met.Load(obs.LeafScans), n)
 	}
 	// Nearest-neighbor queries share the counters.
-	visits = met.NodeVisits.Load()
+	visits = met.Load(obs.NodeVisits)
 	if _, err := tr.Nearest(geom.Vec{500, 500}, 0, 5, 0); err != nil {
 		t.Fatal(err)
 	}
-	if met.NodeVisits.Load() <= visits {
+	if met.Load(obs.NodeVisits) <= visits {
 		t.Error("nearest did not count node visits")
 	}
 }
@@ -249,7 +249,7 @@ func TestPurgeCountersMassExpiry(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	purged := met.ExpiredPurged.Load()
+	purged := met.Load(obs.ExpiredPurged)
 	if purged == 0 {
 		t.Fatal("mass expiry purged nothing")
 	}
@@ -273,8 +273,8 @@ func TestPurgeCountersMassExpiry(t *testing.T) {
 	if purged < purgeEventN {
 		t.Errorf("ExpiredPurged = %d, less than the %d announced by purge events", purged, purgeEventN)
 	}
-	if met.SubtreesFreed.Load() != freedEvents {
-		t.Errorf("SubtreesFreed = %d but events announced %d", met.SubtreesFreed.Load(), freedEvents)
+	if met.Load(obs.SubtreesFreed) != freedEvents {
+		t.Errorf("SubtreesFreed = %d but events announced %d", met.Load(obs.SubtreesFreed), freedEvents)
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"rexptree/internal/geom"
+	"rexptree/internal/obs"
 	"rexptree/internal/storage"
 )
 
@@ -128,8 +129,8 @@ func (t *Tree) addQueryStats(nodes, leaves uint64, st *TravStats) {
 	if t.met == nil {
 		return
 	}
-	t.met.NodeVisits.Add(nodes)
-	t.met.LeafScans.Add(leaves)
+	t.met.Add(obs.NodeVisits, nodes)
+	t.met.Add(obs.LeafScans, leaves)
 }
 
 // EntryStats walks the leaf level and reports how many stored leaf

@@ -7,6 +7,7 @@ import (
 
 	"rexptree/internal/epoch"
 	"rexptree/internal/geom"
+	"rexptree/internal/obs"
 	"rexptree/internal/storage"
 )
 
@@ -249,9 +250,9 @@ func (t *Tree) publish() {
 	}
 	t.lastPublishNanos = time.Since(start).Nanoseconds()
 	if t.met != nil {
-		t.met.SnapPublishes.Inc()
+		t.met.Inc(obs.SnapPublishes)
 		if trimmed > 0 {
-			t.met.SnapVersionsTrimmed.Add(trimmed)
+			t.met.Add(obs.SnapVersionsTrimmed, trimmed)
 		}
 	}
 }
@@ -377,10 +378,10 @@ func (t *Tree) addSnapStats(hits, misses uint64, st *TravStats) {
 	if t.met == nil {
 		return
 	}
-	t.met.EpochPins.Inc()
-	t.met.SnapNodeHits.Add(hits)
+	t.met.Inc(obs.EpochPins)
+	t.met.Add(obs.SnapNodeHits, hits)
 	if misses > 0 {
-		t.met.SnapNodeMisses.Add(misses)
+		t.met.Add(obs.SnapNodeMisses, misses)
 	}
 }
 

@@ -30,7 +30,7 @@ func (t *Tree) split(n *node) (*node, error) {
 		return nil, err
 	}
 	if t.met != nil {
-		t.met.Splits.Inc()
+		t.met.Inc(obs.Splits)
 		t.met.Emit(obs.Event{Kind: obs.EvSplit, Level: n.level, N: len(g2)})
 	}
 	return sib, nil

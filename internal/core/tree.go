@@ -113,13 +113,13 @@ func (t *Tree) SyncGauges() {
 	if t.met == nil {
 		return
 	}
-	t.met.Height.Set(int64(t.height))
-	t.met.Pages.Set(int64(t.Size()))
-	t.met.LeafEntries.Set(int64(t.leafEntries))
-	t.met.BufResident.Set(int64(t.bp.Resident()))
-	t.met.BufPoolPages.Set(int64(t.bp.Cap()))
-	t.met.UI.Set(t.UI())
-	t.met.Horizon.Set(t.metricH())
+	t.met.SetGauge(obs.Height, int64(t.height))
+	t.met.SetGauge(obs.Pages, int64(t.Size()))
+	t.met.SetGauge(obs.LeafEntries, int64(t.leafEntries))
+	t.met.SetGauge(obs.BufResident, int64(t.bp.Resident()))
+	t.met.SetGauge(obs.BufPoolPages, int64(t.bp.Cap()))
+	t.met.SetFloat(obs.UI, t.UI())
+	t.met.SetFloat(obs.Horizon, t.metricH())
 }
 
 // BufferPoolPages returns the buffer pool's page capacity.
@@ -521,7 +521,7 @@ func (t *Tree) freeSubtree(id storage.PageID, level int) error {
 	if n.level == 0 {
 		t.leafEntries -= len(n.entries)
 		if t.met != nil {
-			t.met.ExpiredPurged.Add(uint64(len(n.entries)))
+			t.met.Add(obs.ExpiredPurged, uint64(len(n.entries)))
 		}
 	} else {
 		for _, e := range n.entries {
@@ -571,10 +571,10 @@ func (t *Tree) purgeNode(n *node) error {
 	n.entries = keep
 	if t.met != nil && dropped > 0 {
 		if n.level == 0 {
-			t.met.ExpiredPurged.Add(uint64(dropped))
+			t.met.Add(obs.ExpiredPurged, uint64(dropped))
 		}
 		if freed > 0 {
-			t.met.SubtreesFreed.Add(uint64(freed))
+			t.met.Add(obs.SubtreesFreed, uint64(freed))
 			t.met.Emit(obs.Event{Kind: obs.EvSubtreeFreed, Level: n.level, N: freed})
 		}
 		t.met.Emit(obs.Event{Kind: obs.EvPurge, Level: n.level, N: dropped})

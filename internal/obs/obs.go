@@ -5,6 +5,12 @@
 // lazy purges of expired entries, buffer evictions), and a
 // Prometheus-text exposition of the collected state.
 //
+// Every metric family is declared once, as one row of the families
+// table (families.go): its exposition name, type, help text, shard
+// aggregation rule and storage slot.  The registry's slot arrays,
+// snapshots, deltas, the sharded aggregate, the JSON form and the
+// exposition are all loops over that table.
+//
 // The package has no dependencies beyond the standard library and is
 // designed for a nil fast path: every instrumented layer holds a
 // *Metrics that may be nil, and all recording helpers are no-ops on a
@@ -15,40 +21,12 @@
 package obs
 
 import (
+	"encoding/json"
 	"math"
+	"strings"
 	"sync/atomic"
 	"time"
 )
-
-// Counter is a monotonically increasing atomic counter.
-type Counter struct{ v atomic.Uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Load returns the current value.
-func (c *Counter) Load() uint64 { return c.v.Load() }
-
-// Gauge is an atomic integer gauge.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
-
-// GaugeFloat is an atomic float64 gauge.
-type GaugeFloat struct{ bits atomic.Uint64 }
-
-// Set stores the value.
-func (g *GaugeFloat) Set(f float64) { g.bits.Store(math.Float64bits(f)) }
-
-// Load returns the current value.
-func (g *GaugeFloat) Load() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // NumBuckets is the number of histogram buckets: len(Bounds) finite
 // upper bounds plus one overflow (+Inf) bucket.
@@ -207,103 +185,16 @@ func (f ObserverFunc) Observe(e Event) { f(e) }
 // duration whenever the duration reaches the configured threshold.
 type SlowFunc func(op Op, d time.Duration)
 
-// OpMetrics holds the per-operation instruments.
-type OpMetrics struct {
-	Total   Counter
-	Errors  Counter
-	Latency Histogram
-}
-
-// Metrics is the complete instrument registry for one tree.  All
-// counters and gauges are safe for concurrent use; Observer and the
-// slow-op hook must be configured before the tree processes
-// operations (or via the atomic SetSlowOp).
+// Metrics is the complete instrument registry for one tree: one atomic
+// slot per counter and gauge series and one histogram per histogram
+// series, laid out by the families table.  All slots are safe for
+// concurrent use; Observer and the slow-op hook must be configured
+// before the tree processes operations (or via the atomic SetSlowOp).
+// Every recording method is a no-op on a nil receiver — the
+// uninstrumented fast path.
 type Metrics struct {
-	// Buffer pool (internal/storage, paper §5.1).
-	BufReads           Counter // pages read from the store (buffer misses)
-	BufWrites          Counter // pages written to the store
-	BufHits            Counter // page requests served from the buffer
-	BufEvictions       Counter // frames evicted by LRU replacement
-	BufDirtyWritebacks Counter // evictions that had to write the frame back
-	BufLockFreeHits    Counter // buffer hits served without taking the pool mutex (PR 8)
-	FaultTrips         Counter // injected storage faults that fired
-
-	// Snapshot read path (internal/core + internal/epoch, PR 8).
-	EpochPins           Counter // epochs pinned by snapshot traversals
-	SnapNodeHits        Counter // node lookups served from version chains, lock-free
-	SnapNodeMisses      Counter // snapshot lookups that fell back through the buffer pool
-	SnapPublishes       Counter // snapshot publications (atomic root/version swaps)
-	SnapVersionsTrimmed Counter // retired page versions reclaimed by the writer
-
-	// Structural counters (internal/core).
-	ChooseSubtree     Counter // ChooseSubtree descents, one per level (§4.2.2)
-	NodeVisits        Counter // nodes visited by search and nearest-neighbor queries
-	LeafScans         Counter // leaf entries examined by queries
-	Splits            Counter // node splits (§4.2.2)
-	ForcedReinserts   Counter // forced-reinsertion rounds on overflow (§4.2.2)
-	Condenses         Counter // underflowing nodes dissolved (CondenseTree, §4.3)
-	OrphansReinserted Counter // entries placed back via the orphan list (CT3, §4.3)
-	ExpiredPurged     Counter // expired leaf entries lazily purged (§4.3)
-	SubtreesFreed     Counter // expired internal subtrees deallocated (§4.3)
-
-	// Gauges, refreshed by Tree.SyncGauges at observation time.
-	Height       Gauge      // tree levels
-	Pages        Gauge      // allocated pages (index size, Figure 15)
-	LeafEntries  Gauge      // stored leaf entries, live plus unpurged expired
-	BufResident  Gauge      // buffered pages
-	BufPoolPages Gauge      // buffer pool page capacity (PR 3)
-	UI           GaugeFloat // self-tuned update-interval estimate (§4.2.3)
-	Horizon      GaugeFloat // time horizon H = UI + W (§4.2.1)
-
-	// Sharded front-end partitioning and pruning (PR 3).  On a shard's
-	// own registry the speed-band gauges hold the shard's assigned
-	// speed interval [lo, hi); on the aggregate they hold the envelope.
-	ShardVisits  Counter    // shards actually searched by front-end queries
-	ShardsPruned Counter    // shards skipped because the query missed their summary
-	Rerouted     Counter    // objects moved between shards on a band change
-	SpeedBandLo  GaugeFloat // lower |velocity| bound of the shard's speed band
-	SpeedBandHi  GaugeFloat // upper |velocity| bound of the shard's speed band
-
-	// Durability: write-ahead log, checkpoints and recovery (PR 5).
-	WALAppends             Counter   // logical records appended to the WAL
-	WALBytes               Counter   // bytes appended to the WAL (frames, including checkpoint images)
-	WALFsyncs              Counter   // fsyncs issued on the WAL file
-	Checkpoints            Counter   // checkpoints completed (pool flush + WAL truncate)
-	RecoveryReplayed       Counter   // logical WAL records replayed during recovery
-	RecoveryDroppedExpired Counter   // replayed inserts skipped because the entry had already expired
-	ChecksumFailures       Counter   // page or superblock checksum mismatches detected
-	RecoveryDuration       Histogram // wall-clock duration of each recovery pass
-
-	// Live reshard (PR 9): dual-apply window, drift detection and the
-	// cutover.  The skew and churn gauges hold the drift detector's last
-	// measurements (max shard fill over the even share; re-routes per
-	// update); the stall histogram records how long each cutover held
-	// the mutation path exclusively.
-	ReshardRuns         Counter    // live reshards completed (cut over)
-	ReshardDualApplied  Counter    // mutations mirrored into an in-flight target generation
-	ReshardBackfilled   Counter    // snapshot records copied into the target generation
-	ReshardSkew         GaugeFloat // last measured routing skew (1 = perfectly even)
-	ReshardChurn        GaugeFloat // last measured re-route churn (re-routes per update)
-	ReshardCutoverStall Histogram  // exclusive mutation stall of each cutover
-
-	// Lock acquisition wait times of the public tree (PR 2): how long
-	// operations block before entering the index.  Read covers the
-	// shared (query) lock, Write the exclusive (update) lock.
-	LockWaitRead  Histogram
-	LockWaitWrite Histogram
-
-	// BatchedUpdates counts individual object reports applied through
-	// UpdateBatch (each batch is additionally one OpBatch operation).
-	BatchedUpdates Counter
-
-	// Phases holds the internal phase-latency histograms (queue wait,
-	// page I/O, WAL append and fsync, checkpoint, merge), indexed by
-	// Phase.  They attribute where operations spend their time below
-	// the per-operation histograms (PR 6).
-	Phases [NumPhases]Histogram
-
-	// Ops holds the per-operation latency instruments, indexed by Op.
-	Ops [NumOps]OpMetrics
+	scalars [NumScalars]atomic.Uint64 // counters; gauges as int64 or float64 bits
+	hists   [NumHists]Histogram
 
 	// Observer, when non-nil, receives structural events.  Set it
 	// before the tree processes operations.
@@ -315,6 +206,48 @@ type Metrics struct {
 
 // New returns an empty instrument registry.
 func New() *Metrics { return &Metrics{} }
+
+// Inc adds one to counter c.
+func (m *Metrics) Inc(c Scalar) { m.Add(c, 1) }
+
+// Add adds n to counter c.
+func (m *Metrics) Add(c Scalar, n uint64) {
+	if m != nil {
+		m.scalars[c].Add(n)
+	}
+}
+
+// SetGauge stores integer gauge g.
+func (m *Metrics) SetGauge(g Scalar, v int64) {
+	if m != nil {
+		m.scalars[g].Store(uint64(v))
+	}
+}
+
+// SetFloat stores floating-point gauge g.
+func (m *Metrics) SetFloat(g Scalar, v float64) {
+	if m != nil {
+		m.scalars[g].Store(math.Float64bits(v))
+	}
+}
+
+// Observe records one duration in histogram h.
+func (m *Metrics) Observe(h Hist, d time.Duration) {
+	if m != nil {
+		m.hists[h].Observe(d)
+	}
+}
+
+// ObservePhase records one phase duration.
+func (m *Metrics) ObservePhase(p Phase, d time.Duration) { m.Observe(PhaseDuration+Hist(p), d) }
+
+// Load returns counter c's current count (0 on a nil receiver).
+func (m *Metrics) Load(c Scalar) uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.scalars[c].Load()
+}
 
 // SetSlowOp installs (or, with a zero threshold or nil fn, removes)
 // the slow-operation hook.  Safe to call while operations run.
@@ -332,18 +265,16 @@ func (m *Metrics) SetSlowOp(threshold time.Duration, fn SlowFunc) {
 }
 
 // ObserveOp records one public operation: its latency histogram, the
-// total and error counters, and the slow-op hook when the duration
-// reaches the threshold.  No-op on a nil receiver.
+// error counter, and the slow-op hook when the duration reaches the
+// threshold.
 func (m *Metrics) ObserveOp(op Op, d time.Duration, err error) {
 	if m == nil {
 		return
 	}
-	o := &m.Ops[op]
-	o.Total.Inc()
+	m.hists[OpDuration+Hist(op)].Observe(d)
 	if err != nil {
-		o.Errors.Inc()
+		m.scalars[OpErrors+Scalar(op)].Add(1)
 	}
-	o.Latency.Observe(d)
 	if t := m.slowNanos.Load(); t > 0 && int64(d) >= t {
 		if fn := m.slowFn.Load(); fn != nil {
 			(*fn)(op, d)
@@ -361,90 +292,12 @@ func (m *Metrics) Emit(e Event) {
 	m.Observer.Observe(e)
 }
 
-// OpSnapshot is the frozen state of one operation's instruments.
-type OpSnapshot struct {
-	Op         string
-	Count      uint64
-	Errors     uint64
-	SumSeconds float64
-	Buckets    [NumBuckets]uint64 // per-bucket (non-cumulative) counts
-}
-
-// Sub returns the activity since the earlier snapshot o.
-func (s OpSnapshot) Sub(o OpSnapshot) OpSnapshot {
-	d := s
-	d.Count -= o.Count
-	d.Errors -= o.Errors
-	d.SumSeconds -= o.SumSeconds
-	for i := range d.Buckets {
-		d.Buckets[i] -= o.Buckets[i]
-	}
-	return d
-}
-
-// Snapshot is a frozen, plain-value copy of a Metrics registry.
+// Snapshot is a frozen, plain-value copy of a Metrics registry, or a
+// delta or shard aggregate of such copies, read through the typed slot
+// accessors.
 type Snapshot struct {
-	BufReads           uint64
-	BufWrites          uint64
-	BufHits            uint64
-	BufEvictions       uint64
-	BufDirtyWritebacks uint64
-	BufLockFreeHits    uint64
-	FaultTrips         uint64
-
-	EpochPins           uint64
-	SnapNodeHits        uint64
-	SnapNodeMisses      uint64
-	SnapPublishes       uint64
-	SnapVersionsTrimmed uint64
-
-	ChooseSubtree     uint64
-	NodeVisits        uint64
-	LeafScans         uint64
-	Splits            uint64
-	ForcedReinserts   uint64
-	Condenses         uint64
-	OrphansReinserted uint64
-	ExpiredPurged     uint64
-	SubtreesFreed     uint64
-
-	Height       int64
-	Pages        int64
-	LeafEntries  int64
-	BufResident  int64
-	BufPoolPages int64
-	UI           float64
-	Horizon      float64
-
-	ShardVisits  uint64
-	ShardsPruned uint64
-	Rerouted     uint64
-	SpeedBandLo  float64
-	SpeedBandHi  float64
-
-	WALAppends             uint64
-	WALBytes               uint64
-	WALFsyncs              uint64
-	Checkpoints            uint64
-	RecoveryReplayed       uint64
-	RecoveryDroppedExpired uint64
-	ChecksumFailures       uint64
-	RecoveryDuration       HistSnapshot
-
-	ReshardRuns         uint64
-	ReshardDualApplied  uint64
-	ReshardBackfilled   uint64
-	ReshardSkew         float64
-	ReshardChurn        float64
-	ReshardCutoverStall HistSnapshot
-
-	LockWaitRead   HistSnapshot
-	LockWaitWrite  HistSnapshot
-	BatchedUpdates uint64
-
-	Phases [NumPhases]HistSnapshot
-
-	Ops [NumOps]OpSnapshot
+	scalars [NumScalars]uint64 // counters; gauges as int64 or float64 bits
+	hists   [NumHists]HistSnapshot
 }
 
 // Snapshot freezes the current state.  On a nil receiver it returns
@@ -454,198 +307,131 @@ func (m *Metrics) Snapshot() Snapshot {
 	if m == nil {
 		return s
 	}
-	s.BufReads = m.BufReads.Load()
-	s.BufWrites = m.BufWrites.Load()
-	s.BufHits = m.BufHits.Load()
-	s.BufEvictions = m.BufEvictions.Load()
-	s.BufDirtyWritebacks = m.BufDirtyWritebacks.Load()
-	s.BufLockFreeHits = m.BufLockFreeHits.Load()
-	s.FaultTrips = m.FaultTrips.Load()
-	s.EpochPins = m.EpochPins.Load()
-	s.SnapNodeHits = m.SnapNodeHits.Load()
-	s.SnapNodeMisses = m.SnapNodeMisses.Load()
-	s.SnapPublishes = m.SnapPublishes.Load()
-	s.SnapVersionsTrimmed = m.SnapVersionsTrimmed.Load()
-	s.ChooseSubtree = m.ChooseSubtree.Load()
-	s.NodeVisits = m.NodeVisits.Load()
-	s.LeafScans = m.LeafScans.Load()
-	s.Splits = m.Splits.Load()
-	s.ForcedReinserts = m.ForcedReinserts.Load()
-	s.Condenses = m.Condenses.Load()
-	s.OrphansReinserted = m.OrphansReinserted.Load()
-	s.ExpiredPurged = m.ExpiredPurged.Load()
-	s.SubtreesFreed = m.SubtreesFreed.Load()
-	s.Height = m.Height.Load()
-	s.Pages = m.Pages.Load()
-	s.LeafEntries = m.LeafEntries.Load()
-	s.BufResident = m.BufResident.Load()
-	s.BufPoolPages = m.BufPoolPages.Load()
-	s.UI = m.UI.Load()
-	s.Horizon = m.Horizon.Load()
-	s.ShardVisits = m.ShardVisits.Load()
-	s.ShardsPruned = m.ShardsPruned.Load()
-	s.Rerouted = m.Rerouted.Load()
-	s.SpeedBandLo = m.SpeedBandLo.Load()
-	s.SpeedBandHi = m.SpeedBandHi.Load()
-	s.WALAppends = m.WALAppends.Load()
-	s.WALBytes = m.WALBytes.Load()
-	s.WALFsyncs = m.WALFsyncs.Load()
-	s.Checkpoints = m.Checkpoints.Load()
-	s.RecoveryReplayed = m.RecoveryReplayed.Load()
-	s.RecoveryDroppedExpired = m.RecoveryDroppedExpired.Load()
-	s.ChecksumFailures = m.ChecksumFailures.Load()
-	s.RecoveryDuration = m.RecoveryDuration.Snapshot()
-	s.ReshardRuns = m.ReshardRuns.Load()
-	s.ReshardDualApplied = m.ReshardDualApplied.Load()
-	s.ReshardBackfilled = m.ReshardBackfilled.Load()
-	s.ReshardSkew = m.ReshardSkew.Load()
-	s.ReshardChurn = m.ReshardChurn.Load()
-	s.ReshardCutoverStall = m.ReshardCutoverStall.Snapshot()
-	s.LockWaitRead = m.LockWaitRead.Snapshot()
-	s.LockWaitWrite = m.LockWaitWrite.Snapshot()
-	s.BatchedUpdates = m.BatchedUpdates.Load()
-	for p := Phase(0); p < NumPhases; p++ {
-		s.Phases[p] = m.Phases[p].Snapshot()
+	for i := range s.scalars {
+		s.scalars[i] = m.scalars[i].Load()
 	}
-	for op := Op(0); op < NumOps; op++ {
-		o := &m.Ops[op]
-		snap := &s.Ops[op]
-		snap.Op = op.String()
-		snap.Count = o.Latency.count.Load()
-		snap.Errors = o.Errors.Load()
-		snap.SumSeconds = float64(o.Latency.nanos.Load()) / 1e9
-		for i := range snap.Buckets {
-			snap.Buckets[i] = o.Latency.counts[i].Load()
-		}
+	for i := range s.hists {
+		s.hists[i] = m.hists[i].Snapshot()
 	}
 	return s
 }
 
+// Uint returns counter c.
+func (s *Snapshot) Uint(c Scalar) uint64 { return s.scalars[c] }
+
+// Int returns integer gauge g.
+func (s *Snapshot) Int(g Scalar) int64 { return int64(s.scalars[g]) }
+
+// Float returns floating-point gauge g.
+func (s *Snapshot) Float(g Scalar) float64 { return math.Float64frombits(s.scalars[g]) }
+
+// Hist returns histogram h.
+func (s *Snapshot) Hist(h Hist) HistSnapshot { return s.hists[h] }
+
 // Sub returns the activity between the earlier snapshot o and s:
-// counters and histogram buckets are subtracted; gauges keep s's
-// (current) values.
+// counters and histograms are subtracted; gauges keep s's (current)
+// values.
 func (s Snapshot) Sub(o Snapshot) Snapshot {
 	d := s
-	d.BufReads -= o.BufReads
-	d.BufWrites -= o.BufWrites
-	d.BufHits -= o.BufHits
-	d.BufEvictions -= o.BufEvictions
-	d.BufDirtyWritebacks -= o.BufDirtyWritebacks
-	d.BufLockFreeHits -= o.BufLockFreeHits
-	d.FaultTrips -= o.FaultTrips
-	d.EpochPins -= o.EpochPins
-	d.SnapNodeHits -= o.SnapNodeHits
-	d.SnapNodeMisses -= o.SnapNodeMisses
-	d.SnapPublishes -= o.SnapPublishes
-	d.SnapVersionsTrimmed -= o.SnapVersionsTrimmed
-	d.ChooseSubtree -= o.ChooseSubtree
-	d.NodeVisits -= o.NodeVisits
-	d.LeafScans -= o.LeafScans
-	d.Splits -= o.Splits
-	d.ForcedReinserts -= o.ForcedReinserts
-	d.Condenses -= o.Condenses
-	d.OrphansReinserted -= o.OrphansReinserted
-	d.ExpiredPurged -= o.ExpiredPurged
-	d.SubtreesFreed -= o.SubtreesFreed
-	d.LockWaitRead = s.LockWaitRead.Sub(o.LockWaitRead)
-	d.LockWaitWrite = s.LockWaitWrite.Sub(o.LockWaitWrite)
-	d.BatchedUpdates -= o.BatchedUpdates
-	for i := range d.Phases {
-		d.Phases[i] = s.Phases[i].Sub(o.Phases[i])
+	for i, f := range scalarDesc {
+		if f.kind == kindCounter {
+			d.scalars[i] -= o.scalars[i]
+		}
 	}
-	d.ShardVisits -= o.ShardVisits
-	d.ShardsPruned -= o.ShardsPruned
-	d.Rerouted -= o.Rerouted
-	d.WALAppends -= o.WALAppends
-	d.WALBytes -= o.WALBytes
-	d.WALFsyncs -= o.WALFsyncs
-	d.Checkpoints -= o.Checkpoints
-	d.RecoveryReplayed -= o.RecoveryReplayed
-	d.RecoveryDroppedExpired -= o.RecoveryDroppedExpired
-	d.ChecksumFailures -= o.ChecksumFailures
-	d.RecoveryDuration = s.RecoveryDuration.Sub(o.RecoveryDuration)
-	d.ReshardRuns -= o.ReshardRuns
-	d.ReshardDualApplied -= o.ReshardDualApplied
-	d.ReshardBackfilled -= o.ReshardBackfilled
-	d.ReshardCutoverStall = s.ReshardCutoverStall.Sub(o.ReshardCutoverStall)
-	for i := range d.Ops {
-		d.Ops[i] = s.Ops[i].Sub(o.Ops[i])
+	for i := range d.hists {
+		d.hists[i] = s.hists[i].Sub(o.hists[i])
 	}
 	return d
 }
 
-// Add returns the combined activity of both snapshots: counters,
-// gauges and histogram buckets are summed.  It aggregates the
-// registries of independent sub-indexes (the shards of a ShardedTree)
-// into one fleet-wide view; summing gauges is meaningful there because
-// each shard owns disjoint pages and entries.
-func (s Snapshot) Add(o Snapshot) Snapshot {
-	d := s
-	d.BufReads += o.BufReads
-	d.BufWrites += o.BufWrites
-	d.BufHits += o.BufHits
-	d.BufEvictions += o.BufEvictions
-	d.BufDirtyWritebacks += o.BufDirtyWritebacks
-	d.BufLockFreeHits += o.BufLockFreeHits
-	d.FaultTrips += o.FaultTrips
-	d.EpochPins += o.EpochPins
-	d.SnapNodeHits += o.SnapNodeHits
-	d.SnapNodeMisses += o.SnapNodeMisses
-	d.SnapPublishes += o.SnapPublishes
-	d.SnapVersionsTrimmed += o.SnapVersionsTrimmed
-	d.ChooseSubtree += o.ChooseSubtree
-	d.NodeVisits += o.NodeVisits
-	d.LeafScans += o.LeafScans
-	d.Splits += o.Splits
-	d.ForcedReinserts += o.ForcedReinserts
-	d.Condenses += o.Condenses
-	d.OrphansReinserted += o.OrphansReinserted
-	d.ExpiredPurged += o.ExpiredPurged
-	d.SubtreesFreed += o.SubtreesFreed
-	if o.Height > d.Height {
-		d.Height = o.Height // the fleet is as tall as its tallest shard
-	}
-	d.Pages += o.Pages
-	d.LeafEntries += o.LeafEntries
-	d.BufResident += o.BufResident
-	d.BufPoolPages += o.BufPoolPages
-	d.UI = math.Max(d.UI, o.UI)
-	d.Horizon = math.Max(d.Horizon, o.Horizon)
-	d.LockWaitRead = s.LockWaitRead.Add(o.LockWaitRead)
-	d.LockWaitWrite = s.LockWaitWrite.Add(o.LockWaitWrite)
-	d.BatchedUpdates += o.BatchedUpdates
-	for i := range d.Phases {
-		d.Phases[i] = s.Phases[i].Add(o.Phases[i])
-	}
-	d.ShardVisits += o.ShardVisits
-	d.ShardsPruned += o.ShardsPruned
-	d.Rerouted += o.Rerouted
-	d.WALAppends += o.WALAppends
-	d.WALBytes += o.WALBytes
-	d.WALFsyncs += o.WALFsyncs
-	d.Checkpoints += o.Checkpoints
-	d.RecoveryReplayed += o.RecoveryReplayed
-	d.RecoveryDroppedExpired += o.RecoveryDroppedExpired
-	d.ChecksumFailures += o.ChecksumFailures
-	d.RecoveryDuration = s.RecoveryDuration.Add(o.RecoveryDuration)
-	d.ReshardRuns += o.ReshardRuns
-	d.ReshardDualApplied += o.ReshardDualApplied
-	d.ReshardBackfilled += o.ReshardBackfilled
-	d.ReshardSkew = math.Max(d.ReshardSkew, o.ReshardSkew)
-	d.ReshardChurn = math.Max(d.ReshardChurn, o.ReshardChurn)
-	d.ReshardCutoverStall = s.ReshardCutoverStall.Add(o.ReshardCutoverStall)
-	// The speed-band envelope: the fleet covers [min lo, max hi).
-	d.SpeedBandLo = math.Min(d.SpeedBandLo, o.SpeedBandLo)
-	d.SpeedBandHi = math.Max(d.SpeedBandHi, o.SpeedBandHi)
-	for i := range d.Ops {
-		op := d.Ops[i]
-		op.Count += o.Ops[i].Count
-		op.Errors += o.Ops[i].Errors
-		op.SumSeconds += o.Ops[i].SumSeconds
-		for j := range op.Buckets {
-			op.Buckets[j] += o.Ops[i].Buckets[j]
+// Aggregate folds the registries of a sharded index — the front end's
+// and one per shard, in shard order — into its fleet-wide view, slot by
+// slot under each family's aggregation rule.  Summing gauges such as
+// pages and leaf entries is meaningful because each shard owns
+// disjoint pages and entries.
+func Aggregate(front Snapshot, shards []Snapshot) Snapshot {
+	agg := front
+	for i, f := range scalarDesc {
+		if f.agg == aggFront || len(shards) == 0 {
+			continue
 		}
-		d.Ops[i] = op
+		v := shards[0].scalars[i]
+		for j := 1; j < len(shards); j++ {
+			v = f.fold(v, shards[j].scalars[i])
+		}
+		if f.agg == aggSum {
+			v = f.fold(v, front.scalars[i])
+		}
+		agg.scalars[i] = v
 	}
-	return d
+	for i, f := range histDesc {
+		if f.agg == aggFront {
+			continue
+		}
+		var h HistSnapshot
+		for j := range shards {
+			h = h.Add(shards[j].hists[i])
+		}
+		agg.hists[i] = h.Add(front.hists[i])
+	}
+	return agg
+}
+
+// fold combines value b into the running aggregate a of one of the
+// family's scalar slots.  Histogram families only sum.
+func (f *desc) fold(a, b uint64) uint64 {
+	if f.kind == kindFloat {
+		x, y := math.Float64frombits(a), math.Float64frombits(b)
+		switch f.agg {
+		case aggMax:
+			return math.Float64bits(math.Max(x, y))
+		case aggMin:
+			return math.Float64bits(math.Min(x, y))
+		}
+		return math.Float64bits(x + y)
+	}
+	switch f.agg {
+	case aggMax:
+		return uint64(max(int64(a), int64(b)))
+	case aggMin:
+		return uint64(min(int64(a), int64(b)))
+	}
+	return a + b // two's complement: right for integer gauges too
+}
+
+// value returns the sample of one slot of family f as a plain number
+// or HistSnapshot.
+func (s *Snapshot) value(f *desc, slot int) any {
+	switch f.kind {
+	case kindCounter:
+		return s.scalars[slot]
+	case kindGauge:
+		return int64(s.scalars[slot])
+	case kindFloat:
+		return math.Float64frombits(s.scalars[slot])
+	}
+	return s.hists[slot]
+}
+
+// MarshalJSON writes one key per family, named like the exposition
+// family without its prefix (buffer_reads_total, lock_wait_seconds,
+// ...): a number per counter or gauge, a histogram object per
+// histogram, and, for a labelled family, an object keyed by label
+// value.
+func (s Snapshot) MarshalJSON() ([]byte, error) {
+	out := make(map[string]any, len(families))
+	for i := range families {
+		f := &families[i]
+		key := strings.TrimPrefix(f.name, "_")
+		if f.label == "" {
+			out[key] = s.value(f, f.slot)
+			continue
+		}
+		series := make(map[string]any, f.series())
+		for j, v := range labelValues[f.label] {
+			series[v] = s.value(f, f.slot+j)
+		}
+		out[key] = series
+	}
+	return json.Marshal(out)
 }

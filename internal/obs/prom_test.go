@@ -16,49 +16,64 @@ import (
 var update = flag.Bool("update", false, "rewrite the exposition golden file")
 
 // goldenSnapshot is a fixed registry state exercising every series:
-// non-zero counters, gauges (including a float), an op with errors and
-// latencies in several buckets, and untouched ops.
+// every scalar family holds a distinct non-zero value and every
+// unlabelled histogram a distinct distribution, so a refactor that
+// swapped two families changes the exposition; ops with errors and
+// latencies in several buckets sit beside untouched ops.
 func goldenSnapshot() Snapshot {
 	m := New()
-	m.BufReads.Add(120)
-	m.BufWrites.Add(40)
-	m.BufHits.Add(3000)
-	m.BufEvictions.Add(17)
-	m.BufDirtyWritebacks.Add(9)
-	m.FaultTrips.Add(2)
-	m.ChooseSubtree.Add(450)
-	m.NodeVisits.Add(900)
-	m.LeafScans.Add(15000)
-	m.Splits.Add(11)
-	m.ForcedReinserts.Add(6)
-	m.Condenses.Add(4)
-	m.OrphansReinserted.Add(310)
-	m.ExpiredPurged.Add(77)
-	m.SubtreesFreed.Add(3)
-	m.Height.Set(3)
-	m.Pages.Set(128)
-	m.LeafEntries.Set(9000)
-	m.BufResident.Set(50)
-	m.BufPoolPages.Set(200)
-	m.UI.Set(42.5)
-	m.Horizon.Set(63.75)
-	m.BatchedUpdates.Add(640)
-	m.ShardVisits.Add(520)
-	m.ShardsPruned.Add(280)
-	m.Rerouted.Add(33)
-	m.SpeedBandLo.Set(0.5)
-	m.SpeedBandHi.Set(2)
-	m.WALAppends.Add(5000)
-	m.WALBytes.Add(320000)
-	m.WALFsyncs.Add(48)
-	m.Checkpoints.Add(7)
-	m.RecoveryReplayed.Add(130)
-	m.RecoveryDroppedExpired.Add(21)
-	m.ChecksumFailures.Add(1)
-	m.RecoveryDuration.Observe(4 * time.Millisecond)
-	m.LockWaitRead.Observe(900 * time.Nanosecond)
-	m.LockWaitRead.Observe(12 * time.Microsecond)
-	m.LockWaitWrite.Observe(400 * time.Microsecond)
+	m.Add(BufReads, 120)
+	m.Add(BufWrites, 40)
+	m.Add(BufHits, 3000)
+	m.Add(BufEvictions, 17)
+	m.Add(BufDirtyWritebacks, 9)
+	m.Add(BufLockFreeHits, 1800)
+	m.Add(FaultTrips, 2)
+	m.Add(EpochPins, 260)
+	m.Add(SnapNodeHits, 2400)
+	m.Add(SnapNodeMisses, 5)
+	m.Add(SnapPublishes, 410)
+	m.Add(SnapVersionsTrimmed, 390)
+	m.Add(ChooseSubtree, 450)
+	m.Add(NodeVisits, 900)
+	m.Add(LeafScans, 15000)
+	m.Add(Splits, 11)
+	m.Add(ForcedReinserts, 6)
+	m.Add(Condenses, 4)
+	m.Add(OrphansReinserted, 310)
+	m.Add(ExpiredPurged, 77)
+	m.Add(SubtreesFreed, 13)
+	m.SetGauge(Height, 3)
+	m.SetGauge(Pages, 128)
+	m.SetGauge(LeafEntries, 9000)
+	m.SetGauge(BufResident, 50)
+	m.SetGauge(BufPoolPages, 200)
+	m.SetFloat(UI, 42.5)
+	m.SetFloat(Horizon, 63.75)
+	m.Add(BatchedUpdates, 640)
+	m.Add(ShardVisits, 520)
+	m.Add(ShardsPruned, 280)
+	m.Add(Rerouted, 33)
+	m.SetFloat(SpeedBandLo, 0.5)
+	m.SetFloat(SpeedBandHi, 2.5)
+	m.Add(WALAppends, 5000)
+	m.Add(WALBytes, 320000)
+	m.Add(WALFsyncs, 48)
+	m.Add(Checkpoints, 7)
+	m.Add(RecoveryReplayed, 130)
+	m.Add(RecoveryDroppedExpired, 21)
+	m.Add(ChecksumFailures, 1)
+	m.Observe(RecoveryDuration, 4*time.Millisecond)
+	m.Add(ReshardRuns, 8)
+	m.Add(ReshardDualApplied, 95)
+	m.Add(ReshardBackfilled, 8600)
+	m.SetFloat(ReshardSkew, 1.375)
+	m.SetFloat(ReshardChurn, 0.0625)
+	m.Observe(ReshardCutoverStall, 60*time.Microsecond)
+	m.Observe(ReshardCutoverStall, 700*time.Microsecond)
+	m.Observe(LockWaitRead, 900*time.Nanosecond)
+	m.Observe(LockWaitRead, 12*time.Microsecond)
+	m.Observe(LockWaitWrite, 400*time.Microsecond)
 	m.ObservePhase(PhaseQueueWait, 3*time.Microsecond)
 	m.ObservePhase(PhaseIORead, 150*time.Microsecond)
 	m.ObservePhase(PhaseIOWrite, 220*time.Microsecond)
@@ -69,6 +84,7 @@ func goldenSnapshot() Snapshot {
 	m.ObserveOp(OpUpdate, 800*time.Nanosecond, nil)
 	m.ObserveOp(OpUpdate, 30*time.Microsecond, nil)
 	m.ObserveOp(OpUpdate, 2*time.Millisecond, nil)
+	m.ObserveOp(OpDelete, 15*time.Microsecond, errFixed)
 	m.ObserveOp(OpWindow, 70*time.Microsecond, nil)
 	m.ObserveOp(OpNearest, 3*time.Second, errFixed) // overflow bucket + error
 	m.ObserveOp(OpBatch, 5*time.Millisecond, nil)
@@ -113,7 +129,7 @@ func TestWriteSnapshotParses(t *testing.T) {
 		t.Fatal(err)
 	}
 	help := map[string]bool{}
-	typ := map[string]bool{}
+	typ := map[string]string{}
 	samples := 0
 	for _, line := range strings.Split(strings.TrimRight(buf.String(), "\n"), "\n") {
 		switch {
@@ -121,8 +137,8 @@ func TestWriteSnapshotParses(t *testing.T) {
 			name := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)[0]
 			help[name] = true
 		case strings.HasPrefix(line, "# TYPE "):
-			name := strings.SplitN(strings.TrimPrefix(line, "# TYPE "), " ", 2)[0]
-			typ[name] = true
+			f := strings.SplitN(strings.TrimPrefix(line, "# TYPE "), " ", 2)
+			typ[f[0]] = f[1]
 		default:
 			if !sampleRe.MatchString(line) {
 				t.Errorf("malformed sample line: %q", line)
@@ -130,22 +146,15 @@ func TestWriteSnapshotParses(t *testing.T) {
 			samples++
 		}
 	}
-	// Every scalar family plus the two labelled families is announced.
-	for _, name := range []string{
-		"rexp_buffer_reads_total", "rexp_buffer_evictions_total",
-		"rexp_buffer_dirty_writebacks_total", "rexp_split_total",
-		"rexp_forced_reinsert_total", "rexp_condense_total",
-		"rexp_expired_purged_total", "rexp_ui_estimate",
-		"rexp_batched_updates_total", "rexp_lock_wait_seconds",
-		"rexp_op_errors_total", "rexp_op_duration_seconds",
-		"rexp_query_shard_visits_total", "rexp_query_shards_pruned_total",
-		"rexp_partition_rerouted_total", "rexp_buffer_pool_pages",
-		"rexp_speed_band_lo", "rexp_speed_band_hi",
-		"rexp_phase_duration_seconds",
-	} {
-		if !help[name] || !typ[name] {
-			t.Errorf("family %s missing HELP or TYPE", name)
+	// Every family of the table is announced, with its declared type.
+	for _, f := range families {
+		name := "rexp" + f.name
+		if !help[name] || typ[name] != promTypes[f.kind] {
+			t.Errorf("family %s missing HELP or TYPE %s (got %q)", name, promTypes[f.kind], typ[name])
 		}
+	}
+	if len(typ) != len(families) {
+		t.Errorf("exposition announces %d families, table declares %d", len(typ), len(families))
 	}
 	if samples == 0 {
 		t.Fatal("no samples written")

@@ -3,74 +3,71 @@ package obs
 import (
 	"bufio"
 	"io"
-	"strconv"
+	"math"
 )
+
+// Repl is the slot of one replication family in ReplStats.
+type Repl int
+
+// The replication slots, in exposition order.  The leader hub fills
+// the feed, snapshot and tail slots, the follower applier the rest.
+const (
+	ReplFeedRecords Repl = iota
+	ReplFeedBytes
+	ReplRetainedBytes
+	ReplSnapshots
+	ReplSnapshotBytes
+	ReplTailRequests
+	ReplAppliedRecords
+	ReplAppliedLSN
+	ReplBootstraps
+	ReplReconnects
+	ReplFrameErrors
+	ReplLagSeconds
+	ReplLagBytes
+	numRepl
+)
+
+// replFamilies declares the replication families, one row per Repl
+// slot, in the same form as the index families.
+var replFamilies = []desc{
+	{"_repl_feed_records_total", kindCounter, aggSum, int(ReplFeedRecords), "Logical records appended to the leader's replication feed.", ""},
+	{"_repl_feed_bytes_total", kindCounter, aggSum, int(ReplFeedBytes), "Payload bytes appended to the leader's replication feed.", ""},
+	{"_repl_feed_retained_bytes", kindGauge, aggSum, int(ReplRetainedBytes), "Feed payload bytes currently retained for tailing followers.", ""},
+	{"_repl_snapshots_total", kindCounter, aggSum, int(ReplSnapshots), "Hot-backup snapshot streams started.", ""},
+	{"_repl_snapshot_bytes_total", kindCounter, aggSum, int(ReplSnapshotBytes), "Bytes sent across all hot-backup snapshot streams.", ""},
+	{"_repl_tail_requests_total", kindCounter, aggSum, int(ReplTailRequests), "WAL tail (long-poll) requests served.", ""},
+	{"_repl_applied_records_total", kindCounter, aggSum, int(ReplAppliedRecords), "Logical records applied to the local replica.", ""},
+	{"_repl_applied_lsn", kindGauge, aggSum, int(ReplAppliedLSN), "Last log sequence number applied to the local replica.", ""},
+	{"_repl_bootstraps_total", kindCounter, aggSum, int(ReplBootstraps), "Full snapshot bootstraps this follower completed.", ""},
+	{"_repl_reconnects_total", kindCounter, aggSum, int(ReplReconnects), "Tail connections the follower re-established after a failure.", ""},
+	{"_repl_frame_errors_total", kindCounter, aggSum, int(ReplFrameErrors), "Corrupt or truncated replication frames detected and refused.", ""},
+	{"_repl_lag_seconds", kindFloat, aggSum, int(ReplLagSeconds), "Staleness of the replica: seconds since the last applied record was produced.", ""},
+	{"_repl_lag_bytes", kindGauge, aggSum, int(ReplLagBytes), "Feed bytes the replica has not yet applied.", ""},
+}
 
 // ReplStats is a point-in-time view of the replication layer, filled
 // by the leader hub and/or the follower applier (internal/repl) and
-// rendered by WriteReplMetrics.  Fields a role does not use stay zero
+// rendered by WriteReplMetrics.  Slots a role does not use stay zero
 // and are still exposed, so dashboards see a stable family set.
-type ReplStats struct {
-	// Leader side.
-	FeedRecords   uint64 // logical records appended to the feed
-	FeedBytes     uint64 // payload bytes appended to the feed
-	RetainedBytes int64  // payload bytes currently retained
-	Snapshots     uint64 // backup streams started
-	SnapshotBytes uint64 // bytes sent across all backup streams
-	TailRequests  uint64 // /v1/wal requests served
+type ReplStats struct{ v [numRepl]uint64 }
 
-	// Follower side.
-	AppliedRecords uint64  // logical records applied to the replica
-	AppliedLSN     uint64  // last applied log sequence number
-	Bootstraps     uint64  // full snapshot bootstraps completed
-	Reconnects     uint64  // tail connections re-established
-	FrameErrors    uint64  // corrupt or truncated frames refused
-	LagSeconds     float64 // age of the last applied record
-	LagBytes       int64   // leader head offset minus applied offset
-}
+// Set stores counter (or unsigned gauge) r.
+func (s *ReplStats) Set(r Repl, v uint64) { s.v[r] = v }
 
-// replFamily mirrors promFamily for the replication stats.
-type replFamily struct {
-	name, typ, help string
-	value           func(*ReplStats) string
-}
+// SetInt stores integer gauge r.
+func (s *ReplStats) SetInt(r Repl, v int64) { s.v[r] = uint64(v) }
 
-var replFamilies = []replFamily{
-	{"_repl_feed_records_total", "counter", "Logical records appended to the leader's replication feed.", func(s *ReplStats) string { return strconv.FormatUint(s.FeedRecords, 10) }},
-	{"_repl_feed_bytes_total", "counter", "Payload bytes appended to the leader's replication feed.", func(s *ReplStats) string { return strconv.FormatUint(s.FeedBytes, 10) }},
-	{"_repl_feed_retained_bytes", "gauge", "Feed payload bytes currently retained for tailing followers.", func(s *ReplStats) string { return strconv.FormatInt(s.RetainedBytes, 10) }},
-	{"_repl_snapshots_total", "counter", "Hot-backup snapshot streams started.", func(s *ReplStats) string { return strconv.FormatUint(s.Snapshots, 10) }},
-	{"_repl_snapshot_bytes_total", "counter", "Bytes sent across all hot-backup snapshot streams.", func(s *ReplStats) string { return strconv.FormatUint(s.SnapshotBytes, 10) }},
-	{"_repl_tail_requests_total", "counter", "WAL tail (long-poll) requests served.", func(s *ReplStats) string { return strconv.FormatUint(s.TailRequests, 10) }},
-	{"_repl_applied_records_total", "counter", "Logical records applied to the local replica.", func(s *ReplStats) string { return strconv.FormatUint(s.AppliedRecords, 10) }},
-	{"_repl_applied_lsn", "gauge", "Last log sequence number applied to the local replica.", func(s *ReplStats) string { return strconv.FormatUint(s.AppliedLSN, 10) }},
-	{"_repl_bootstraps_total", "counter", "Full snapshot bootstraps this follower completed.", func(s *ReplStats) string { return strconv.FormatUint(s.Bootstraps, 10) }},
-	{"_repl_reconnects_total", "counter", "Tail connections the follower re-established after a failure.", func(s *ReplStats) string { return strconv.FormatUint(s.Reconnects, 10) }},
-	{"_repl_frame_errors_total", "counter", "Corrupt or truncated replication frames detected and refused.", func(s *ReplStats) string { return strconv.FormatUint(s.FrameErrors, 10) }},
-	{"_repl_lag_seconds", "gauge", "Staleness of the replica: seconds since the last applied record was produced.", func(s *ReplStats) string { return formatFloat(s.LagSeconds) }},
-	{"_repl_lag_bytes", "gauge", "Feed bytes the replica has not yet applied.", func(s *ReplStats) string { return strconv.FormatInt(s.LagBytes, 10) }},
-}
+// SetFloat stores floating-point gauge r.
+func (s *ReplStats) SetFloat(r Repl, v float64) { s.v[r] = math.Float64bits(v) }
+
+// Uint returns counter r.
+func (s ReplStats) Uint(r Repl) uint64 { return s.v[r] }
 
 // WriteReplMetrics renders the replication families in Prometheus text
-// exposition format under the given prefix, matching WriteSnapshot's
-// conventions.
+// exposition format under the given prefix.
 func WriteReplMetrics(w io.Writer, prefix string, st ReplStats) error {
-	bw := bufio.NewWriter(w)
-	for _, f := range replFamilies {
-		name := prefix + f.name
-		bw.WriteString("# HELP ")
-		bw.WriteString(name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.help)
-		bw.WriteString("\n# TYPE ")
-		bw.WriteString(name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.typ)
-		bw.WriteByte('\n')
-		bw.WriteString(name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.value(&st))
-		bw.WriteByte('\n')
-	}
-	return bw.Flush()
+	ew := expWriter{bufio.NewWriter(w)}
+	ew.families(prefix, replFamilies, st.v[:], nil)
+	return ew.Flush()
 }

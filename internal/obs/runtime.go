@@ -3,6 +3,7 @@ package obs
 import (
 	"bufio"
 	"io"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"runtime/metrics"
@@ -43,30 +44,27 @@ func WriteRuntimeMetrics(w io.Writer, prefix string) error {
 	}
 	metrics.Read(samples)
 
-	bw := bufio.NewWriter(w)
+	ew := expWriter{bufio.NewWriter(w)}
 	for i, rs := range runtimeSamples {
 		name := prefix + "_go" + rs.name
 		v := samples[i].Value
 		if v.Kind() == metrics.KindBad {
 			continue
 		}
-		bw.WriteString("# HELP " + name + " " + rs.help + "\n")
-		bw.WriteString("# TYPE " + name + " " + rs.typ + "\n")
+		ew.header(name, rs.typ, rs.help)
 		switch v.Kind() {
 		case metrics.KindUint64:
-			bw.WriteString(name + " " + strconv.FormatUint(v.Uint64(), 10) + "\n")
+			ew.sample(name, "", strconv.FormatUint(v.Uint64(), 10))
 		case metrics.KindFloat64:
-			bw.WriteString(name + " " + formatFloat(v.Float64()) + "\n")
+			ew.sample(name, "", formatFloat(v.Float64()))
 		case metrics.KindFloat64Histogram:
 			h := v.Float64Histogram()
 			for _, q := range runtimeQuantiles {
-				bw.WriteString(name + `{quantile="` + formatFloat(q) + `"} `)
-				bw.WriteString(formatFloat(histQuantile(h, q)))
-				bw.WriteByte('\n')
+				ew.sample(name, `quantile="`+formatFloat(q)+`"`, formatFloat(histQuantile(h, q)))
 			}
 		}
 	}
-	return bw.Flush()
+	return ew.Flush()
 }
 
 // histQuantile estimates quantile q of a runtime Float64Histogram as
@@ -102,14 +100,12 @@ func histQuantile(h *metrics.Float64Histogram, q float64) float64 {
 
 func maxFinite(edges []float64) float64 {
 	for i := len(edges) - 1; i >= 0; i-- {
-		if !isInf(edges[i]) {
+		if !math.IsInf(edges[i], 0) {
 			return edges[i]
 		}
 	}
 	return 0
 }
-
-func isInf(f float64) bool { return f > 1e308 || f < -1e308 }
 
 // WithRuntimeMetrics wraps a metrics handler so the response carries
 // the tree exposition followed by the <prefix>_go_* runtime section.

@@ -6,7 +6,7 @@ import (
 )
 
 // Phase identifies one internal execution phase whose latency is
-// aggregated into the phase-duration histograms (Metrics.Phases).
+// aggregated into the phase-duration histograms (the PhaseDuration slots).
 // Phases attribute where operations spend their time below the
 // per-operation histograms: waiting for a fan-out worker, reading or
 // writing pages past the buffer pool, appending to and fsyncing the
@@ -56,15 +56,6 @@ func (p Phase) String() string {
 		return "unknown"
 	}
 	return phaseNames[p]
-}
-
-// ObservePhase records one phase duration.  No-op on a nil receiver —
-// the uninstrumented fast path.
-func (m *Metrics) ObservePhase(p Phase, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.Phases[p].Observe(d)
 }
 
 // traceRing is a fixed-size lock-free ring of recent values.  Writers

@@ -37,13 +37,13 @@ func TestObservePhaseCounts(t *testing.T) {
 	m.ObservePhase(PhaseWALFsync, 3*time.Millisecond)
 	m.ObservePhase(PhaseMerge, time.Microsecond)
 	snap := m.Snapshot()
-	if got := snap.Phases[PhaseWALFsync].Count; got != 2 {
+	if got := snap.Hist(PhaseDuration + Hist(PhaseWALFsync)).Count; got != 2 {
 		t.Errorf("wal_fsync count = %d, want 2", got)
 	}
-	if got := snap.Phases[PhaseMerge].Count; got != 1 {
+	if got := snap.Hist(PhaseDuration + Hist(PhaseMerge)).Count; got != 1 {
 		t.Errorf("merge count = %d, want 1", got)
 	}
-	if got := snap.Phases[PhaseCheckpoint].Count; got != 0 {
+	if got := snap.Hist(PhaseDuration + Hist(PhaseCheckpoint)).Count; got != 0 {
 		t.Errorf("checkpoint count = %d, want 0", got)
 	}
 }

@@ -643,15 +643,15 @@ func (a *Applier) AppliedLSN() uint64 {
 
 // Stats returns the follower-side replication counters.
 func (a *Applier) Stats() obs.ReplStats {
-	return obs.ReplStats{
-		AppliedRecords: a.applied.Load(),
-		AppliedLSN:     a.AppliedLSN(),
-		Bootstraps:     a.bootstraps.Load(),
-		Reconnects:     a.reconnects.Load(),
-		FrameErrors:    a.frameErrors.Load(),
-		LagSeconds:     a.LagSeconds(),
-		LagBytes:       a.LagBytes(),
-	}
+	var st obs.ReplStats
+	st.Set(obs.ReplAppliedRecords, a.applied.Load())
+	st.Set(obs.ReplAppliedLSN, a.AppliedLSN())
+	st.Set(obs.ReplBootstraps, a.bootstraps.Load())
+	st.Set(obs.ReplReconnects, a.reconnects.Load())
+	st.Set(obs.ReplFrameErrors, a.frameErrors.Load())
+	st.SetFloat(obs.ReplLagSeconds, a.LagSeconds())
+	st.SetInt(obs.ReplLagBytes, a.LagBytes())
+	return st
 }
 
 // Close stops the tail loop and closes every index the applier owns.

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"rexptree"
+	"rexptree/internal/obs"
 )
 
 // --- leader/follower scaffolding ---------------------------------------
@@ -242,7 +243,7 @@ func TestReplFollowerConvergence(t *testing.T) {
 	<-done
 
 	requireConverged(t, l, app, "bootstrapped follower")
-	if st := app.Stats(); st.Bootstraps != 1 || st.FrameErrors != 0 {
+	if st := app.Stats(); st.Uint(obs.ReplBootstraps) != 1 || st.Uint(obs.ReplFrameErrors) != 0 {
 		t.Fatalf("clean run stats: %+v", st)
 	}
 }
@@ -272,7 +273,7 @@ func TestReplFollowerCrashMidTail(t *testing.T) {
 	if err := app2.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := app2.Stats(); st.Bootstraps != 0 {
+	if st := app2.Stats(); st.Uint(obs.ReplBootstraps) != 0 {
 		t.Fatalf("resume re-bootstrapped: %+v", st)
 	}
 	app2.Start()
@@ -333,7 +334,7 @@ func TestReplLeaderCrashMidSnapshot(t *testing.T) {
 	if err := app.Open(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if st := app.Stats(); st.FrameErrors == 0 {
+	if st := app.Stats(); st.Uint(obs.ReplFrameErrors) == 0 {
 		t.Fatalf("cut snapshots were not counted as frame errors: %+v", st)
 	}
 	// The torn attempts must not leave partial replica file sets behind:
@@ -377,10 +378,10 @@ func TestReplTornWireFrame(t *testing.T) {
 	app.Start()
 	requireConverged(t, l, app, "follower after a torn wire frame")
 	st := app.Stats()
-	if st.FrameErrors == 0 {
+	if st.Uint(obs.ReplFrameErrors) == 0 {
 		t.Fatalf("byte flip was not refused: %+v", st)
 	}
-	if st.Bootstraps != 1 {
+	if st.Uint(obs.ReplBootstraps) != 1 {
 		t.Fatalf("a torn tail frame must retry the tail, not re-bootstrap: %+v", st)
 	}
 }
@@ -411,7 +412,7 @@ func TestReplDisconnectStorm(t *testing.T) {
 	l.mutate(t, 2000)
 	app.Start()
 	requireConverged(t, l, app, "follower after a disconnect storm")
-	if st := app.Stats(); st.FrameErrors == 0 && st.Reconnects == 0 {
+	if st := app.Stats(); st.Uint(obs.ReplFrameErrors) == 0 && st.Uint(obs.ReplReconnects) == 0 {
 		t.Fatalf("storm left no trace in the counters: %+v", st)
 	}
 }
@@ -435,7 +436,7 @@ func TestReplSlowConsumerRebootstraps(t *testing.T) {
 
 	app.Start()
 	requireConverged(t, l, app, "slow consumer after re-bootstrap")
-	if st := app.Stats(); st.Bootstraps != 2 {
+	if st := app.Stats(); st.Uint(obs.ReplBootstraps) != 2 {
 		t.Fatalf("expected exactly one re-bootstrap, got %+v", st)
 	}
 }

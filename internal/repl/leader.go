@@ -103,14 +103,14 @@ func (h *Hub) Close() { h.ix.SetReplSink(nil) }
 // Stats returns the leader-side replication counters.
 func (h *Hub) Stats() obs.ReplStats {
 	recs, bytes, retained := h.feed.Stats()
-	return obs.ReplStats{
-		FeedRecords:   recs,
-		FeedBytes:     bytes,
-		RetainedBytes: retained,
-		Snapshots:     h.snapshots.Load(),
-		SnapshotBytes: h.snapshotBytes.Load(),
-		TailRequests:  h.tailRequests.Load(),
-	}
+	var st obs.ReplStats
+	st.Set(obs.ReplFeedRecords, recs)
+	st.Set(obs.ReplFeedBytes, bytes)
+	st.SetInt(obs.ReplRetainedBytes, retained)
+	st.Set(obs.ReplSnapshots, h.snapshots.Load())
+	st.Set(obs.ReplSnapshotBytes, h.snapshotBytes.Load())
+	st.Set(obs.ReplTailRequests, h.tailRequests.Load())
+	return st
 }
 
 // countWriter counts the bytes written through it.

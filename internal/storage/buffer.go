@@ -233,14 +233,14 @@ func (bp *BufferPool) evictFrame(e *list.Element, f *frame) error {
 		bp.stats.Writes++
 		bp.stats.DirtyWritebacks++
 		if bp.met != nil {
-			bp.met.BufWrites.Inc()
-			bp.met.BufDirtyWritebacks.Inc()
+			bp.met.Inc(obs.BufWrites)
+			bp.met.Inc(obs.BufDirtyWritebacks)
 			bp.met.Emit(obs.Event{Kind: obs.EvDirtyWriteback, Level: -1, N: 1})
 		}
 	}
 	bp.stats.Evictions++
 	if bp.met != nil {
-		bp.met.BufEvictions.Inc()
+		bp.met.Inc(obs.BufEvictions)
 		bp.met.Emit(obs.Event{Kind: obs.EvEviction, Level: -1, N: 1})
 	}
 	bp.lru.Remove(e)
@@ -343,8 +343,8 @@ func (bp *BufferPool) hitFast(f *frame) {
 	f.ref.Store(true)
 	bp.hitsLF.Add(1)
 	if bp.met != nil {
-		bp.met.BufHits.Inc()
-		bp.met.BufLockFreeHits.Inc()
+		bp.met.Inc(obs.BufHits)
+		bp.met.Inc(obs.BufLockFreeHits)
 	}
 }
 
@@ -357,7 +357,7 @@ func (bp *BufferPool) getTracked(id PageID) ([]byte, bool, error) {
 	if f, ok := bp.frames[id]; ok {
 		bp.stats.Hits++
 		if bp.met != nil {
-			bp.met.BufHits.Inc()
+			bp.met.Inc(obs.BufHits)
 		}
 		bp.touch(f)
 		return f.data, true, nil
@@ -368,7 +368,7 @@ func (bp *BufferPool) getTracked(id PageID) ([]byte, bool, error) {
 	}
 	bp.stats.Reads++
 	if bp.met != nil {
-		bp.met.BufReads.Inc()
+		bp.met.Inc(obs.BufReads)
 	}
 	if err := bp.admit(f); err != nil {
 		return nil, false, err
@@ -518,7 +518,7 @@ func (bp *BufferPool) Flush() error {
 		f.dirty = false
 		bp.stats.Writes++
 		if bp.met != nil {
-			bp.met.BufWrites.Inc()
+			bp.met.Inc(obs.BufWrites)
 		}
 	}
 	return nil

@@ -244,12 +244,12 @@ func TestBufferPoolEvictionCounters(t *testing.T) {
 
 	// The obs registry mirrors the pool's own stats.
 	snap := met.Snapshot()
-	if snap.BufEvictions != s.Evictions || snap.BufDirtyWritebacks != s.DirtyWritebacks {
+	if snap.Uint(obs.BufEvictions) != s.Evictions || snap.Uint(obs.BufDirtyWritebacks) != s.DirtyWritebacks {
 		t.Errorf("obs counters evictions=%d writebacks=%d, want %d/%d",
-			snap.BufEvictions, snap.BufDirtyWritebacks, s.Evictions, s.DirtyWritebacks)
+			snap.Uint(obs.BufEvictions), snap.Uint(obs.BufDirtyWritebacks), s.Evictions, s.DirtyWritebacks)
 	}
-	if snap.BufReads != s.Reads || snap.BufHits != s.Hits {
-		t.Errorf("obs reads=%d hits=%d, want %d/%d", snap.BufReads, snap.BufHits, s.Reads, s.Hits)
+	if snap.Uint(obs.BufReads) != s.Reads || snap.Uint(obs.BufHits) != s.Hits {
+		t.Errorf("obs reads=%d hits=%d, want %d/%d", snap.Uint(obs.BufReads), snap.Uint(obs.BufHits), s.Reads, s.Hits)
 	}
 
 	// Events: 2 evictions, 1 dirty writeback, writeback announced

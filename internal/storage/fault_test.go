@@ -113,7 +113,7 @@ func TestFaultStoreCountsTrips(t *testing.T) {
 	if err := fs.WritePage(id, buf); err != nil {
 		t.Fatal(err)
 	}
-	if met.FaultTrips.Load() != 0 {
+	if met.Load(obs.FaultTrips) != 0 {
 		t.Fatal("disarmed store counted a trip")
 	}
 	fs.Arm(2)
@@ -123,8 +123,8 @@ func TestFaultStoreCountsTrips(t *testing.T) {
 	if err := fs.ReadPage(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read = %v, want injected", err)
 	}
-	if met.FaultTrips.Load() != 1 || trips != 1 {
-		t.Errorf("trips: counter=%d events=%d, want 1/1", met.FaultTrips.Load(), trips)
+	if met.Load(obs.FaultTrips) != 1 || trips != 1 {
+		t.Errorf("trips: counter=%d events=%d, want 1/1", met.Load(obs.FaultTrips), trips)
 	}
 }
 
@@ -147,8 +147,8 @@ func TestFaultStoreTornWrite(t *testing.T) {
 	if err := fs.WritePage(id, buf); !errors.Is(err, ErrInjected) {
 		t.Fatalf("torn write = %v, want injected", err)
 	}
-	if met.FaultTrips.Load() != 1 {
-		t.Fatalf("trips = %d, want 1", met.FaultTrips.Load())
+	if met.Load(obs.FaultTrips) != 1 {
+		t.Fatalf("trips = %d, want 1", met.Load(obs.FaultTrips))
 	}
 	got := make([]byte, PageSize)
 	if err := inner.ReadPage(id, got); err != nil {

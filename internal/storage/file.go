@@ -315,7 +315,7 @@ func (s *FileStore) readRaw(id PageID, buf []byte) error {
 	want := binary.LittleEndian.Uint32(slot[0:])
 	if crc32.Checksum(slot[pageHdrSize:], castagnoli) != want {
 		if s.met != nil {
-			s.met.ChecksumFailures.Inc()
+			s.met.Inc(obs.ChecksumFailures)
 		}
 		return fmt.Errorf("%w: page %d", ErrChecksum, id)
 	}

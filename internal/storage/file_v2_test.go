@@ -69,7 +69,7 @@ func TestFileStoreV2ChecksumDetectsFlippedBit(t *testing.T) {
 	if err := s.ReadPage(id, got); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("ReadPage = %v, want ErrChecksum", err)
 	}
-	if met.ChecksumFailures.Load() == 0 {
+	if met.Load(obs.ChecksumFailures) == 0 {
 		t.Fatal("checksum failure not counted")
 	}
 	if err := s.VerifyPage(id); !errors.Is(err, ErrChecksum) {

@@ -240,7 +240,7 @@ func (w *Writer) Append(payload []byte) error {
 	}
 	w.size += int64(frameHdrSize + len(payload))
 	if w.met != nil {
-		w.met.WALBytes.Add(uint64(frameHdrSize + len(payload)))
+		w.met.Add(obs.WALBytes, uint64(frameHdrSize+len(payload)))
 		w.met.ObservePhase(obs.PhaseWALAppend, time.Since(start))
 	}
 	return nil
@@ -271,7 +271,7 @@ func (w *Writer) Sync() error {
 		return err
 	}
 	if w.met != nil {
-		w.met.WALFsyncs.Inc()
+		w.met.Inc(obs.WALFsyncs)
 		w.met.ObservePhase(obs.PhaseWALFsync, time.Since(start))
 	}
 	return nil
@@ -299,7 +299,7 @@ func (w *Writer) Reset() error {
 		return err
 	}
 	if w.met != nil {
-		w.met.WALFsyncs.Inc()
+		w.met.Inc(obs.WALFsyncs)
 		w.met.ObservePhase(obs.PhaseWALFsync, time.Since(start))
 	}
 	w.size = 0

@@ -159,8 +159,8 @@ func TestWALReset(t *testing.T) {
 	if len(recs) != 1 || recs[0].Kind != RecDelete {
 		t.Fatalf("after reset the log should hold only the new record, got %+v", recs)
 	}
-	if m.WALFsyncs.Load() < 2 {
-		t.Errorf("fsyncs = %d, want >= 2", m.WALFsyncs.Load())
+	if m.Load(obs.WALFsyncs) < 2 {
+		t.Errorf("fsyncs = %d, want >= 2", m.Load(obs.WALFsyncs))
 	}
 }
 

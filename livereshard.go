@@ -521,7 +521,7 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 				return s.abortClean(lr, fmt.Errorf("rexptree: live reshard backfill: %w", err))
 			}
 			lr.backfilled.Add(uint64(len(batch)))
-			s.m.ReshardBackfilled.Add(uint64(len(batch)))
+			s.m.Add(obs.ReshardBackfilled, uint64(len(batch)))
 		}
 		s.rerouteMu.Unlock()
 	}
@@ -587,7 +587,7 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 	}
 	s.lr.Store(nil)
 	s.cur.Store(target)
-	s.m.ReshardCutoverStall.Observe(time.Since(stallStart))
+	s.m.Observe(obs.ReshardCutoverStall, time.Since(stallStart))
 	s.rerouteMu.Unlock()
 
 	if err := s.hook("post-rename"); err != nil {
@@ -616,7 +616,7 @@ func (s *ShardedTree) runLiveReshard(spec ReshardSpec, derived bool) error {
 		}
 		manifest.CleanStale(s.basePath, newGen)
 	}
-	s.m.ReshardRuns.Inc()
+	s.m.Inc(obs.ReshardRuns)
 	return nil
 }
 
@@ -798,18 +798,19 @@ func (s *ShardedTree) autoReshardLoop(opts AutoReshardOptions) {
 		g.unpin()
 
 		snap := s.m.Snapshot()
-		updates := snap.Ops[obs.OpUpdate].Count + snap.BatchedUpdates
+		updates := snap.Hist(obs.OpDuration+obs.Hist(obs.OpUpdate)).Count + s.batched.Load()
+		rerouted := snap.Uint(obs.Rerouted)
 		skew := 0.0
 		if total > 0 {
 			skew = float64(maxLen*k) / float64(total)
 		}
 		churn := 0.0
 		if du := updates - prevUpdates; du > 0 {
-			churn = float64(snap.Rerouted-prevRerouted) / float64(du)
+			churn = float64(rerouted-prevRerouted) / float64(du)
 		}
-		prevUpdates, prevRerouted = updates, snap.Rerouted
-		s.m.ReshardSkew.Set(skew)
-		s.m.ReshardChurn.Set(churn)
+		prevUpdates, prevRerouted = updates, rerouted
+		s.m.SetFloat(obs.ReshardSkew, skew)
+		s.m.SetFloat(obs.ReshardChurn, churn)
 
 		trigger := (opts.SkewThreshold > 0 && skew > opts.SkewThreshold) ||
 			(opts.ChurnThreshold > 0 && churn > opts.ChurnThreshold)

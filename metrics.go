@@ -57,8 +57,8 @@ func (o OpMetrics) Sub(prev OpMetrics) OpMetrics {
 // Metrics is a consistent snapshot of the tree's instrumentation,
 // from the buffer pool up to the public API.  Counters are cumulative
 // since Open; Sub turns two snapshots into the activity between them.
-// Each counter's paper section reference is listed in the README's
-// Observability table.
+// Each field mirrors one family of the Prometheus exposition;
+// docs/METRICS.md lists them with their paper section references.
 type Metrics struct {
 	// Structure gauges (current values).
 	Height          int     // tree levels
@@ -147,6 +147,8 @@ type Metrics struct {
 	// order update, delete, timeslice, window, moving, nearest,
 	// update_batch.
 	Ops [NumOps]OpMetrics
+
+	snap obs.Snapshot // the registry state the fields were read from; see Sub
 }
 
 // LatencyMetrics is a frozen latency histogram without an operation
@@ -180,52 +182,9 @@ func (l LatencyMetrics) Sub(prev LatencyMetrics) LatencyMetrics {
 
 // Sub returns the activity between the earlier snapshot prev and m:
 // counters and histograms are subtracted, while the gauges keep m's
-// (current) values.
+// (current) values.  Both must come from Metrics or ShardMetrics.
 func (m Metrics) Sub(prev Metrics) Metrics {
-	d := m
-	d.BufferReads -= prev.BufferReads
-	d.BufferWrites -= prev.BufferWrites
-	d.BufferHits -= prev.BufferHits
-	d.BufferEvictions -= prev.BufferEvictions
-	d.BufferDirtyWritebacks -= prev.BufferDirtyWritebacks
-	d.BufferLockFreeHits -= prev.BufferLockFreeHits
-	d.FaultTrips -= prev.FaultTrips
-	d.EpochPins -= prev.EpochPins
-	d.SnapshotNodeHits -= prev.SnapshotNodeHits
-	d.SnapshotNodeMisses -= prev.SnapshotNodeMisses
-	d.SnapshotPublishes -= prev.SnapshotPublishes
-	d.SnapshotVersionsTrimmed -= prev.SnapshotVersionsTrimmed
-	d.ChooseSubtreeDescents -= prev.ChooseSubtreeDescents
-	d.QueryNodeVisits -= prev.QueryNodeVisits
-	d.QueryLeafEntriesScanned -= prev.QueryLeafEntriesScanned
-	d.Splits -= prev.Splits
-	d.ForcedReinserts -= prev.ForcedReinserts
-	d.Condenses -= prev.Condenses
-	d.OrphansReinserted -= prev.OrphansReinserted
-	d.ExpiredPurged -= prev.ExpiredPurged
-	d.SubtreesFreed -= prev.SubtreesFreed
-	d.BatchedUpdates -= prev.BatchedUpdates
-	d.ShardVisits -= prev.ShardVisits
-	d.ShardsPruned -= prev.ShardsPruned
-	d.Rerouted -= prev.Rerouted
-	d.ReshardRuns -= prev.ReshardRuns
-	d.ReshardDualApplied -= prev.ReshardDualApplied
-	d.ReshardBackfilled -= prev.ReshardBackfilled
-	d.ReshardCutoverStall = m.ReshardCutoverStall.Sub(prev.ReshardCutoverStall)
-	d.WALAppends -= prev.WALAppends
-	d.WALBytes -= prev.WALBytes
-	d.WALFsyncs -= prev.WALFsyncs
-	d.Checkpoints -= prev.Checkpoints
-	d.RecoveryReplayed -= prev.RecoveryReplayed
-	d.RecoveryDroppedExpired -= prev.RecoveryDroppedExpired
-	d.ChecksumFailures -= prev.ChecksumFailures
-	d.RecoveryDuration = m.RecoveryDuration.Sub(prev.RecoveryDuration)
-	d.LockWaitRead = m.LockWaitRead.Sub(prev.LockWaitRead)
-	d.LockWaitWrite = m.LockWaitWrite.Sub(prev.LockWaitWrite)
-	for i := range d.Ops {
-		d.Ops[i] = m.Ops[i].Sub(prev.Ops[i])
-	}
-	return d
+	return fromSnapshot(m.snap.Sub(prev.snap))
 }
 
 // Op returns the metrics of the named operation (update, delete,
@@ -256,71 +215,75 @@ func (tr *Tree) Metrics() Metrics {
 
 func fromSnapshot(s obs.Snapshot) Metrics {
 	m := Metrics{
-		Height:          int(s.Height),
-		Pages:           int(s.Pages),
-		LeafEntries:     int(s.LeafEntries),
-		BufferResident:  int(s.BufResident),
-		BufferPoolPages: int(s.BufPoolPages),
-		UIEstimate:      s.UI,
-		Horizon:         s.Horizon,
-		SpeedBandLo:     s.SpeedBandLo,
-		SpeedBandHi:     s.SpeedBandHi,
+		Height:          int(s.Int(obs.Height)),
+		Pages:           int(s.Int(obs.Pages)),
+		LeafEntries:     int(s.Int(obs.LeafEntries)),
+		BufferResident:  int(s.Int(obs.BufResident)),
+		BufferPoolPages: int(s.Int(obs.BufPoolPages)),
+		UIEstimate:      s.Float(obs.UI),
+		Horizon:         s.Float(obs.Horizon),
+		SpeedBandLo:     s.Float(obs.SpeedBandLo),
+		SpeedBandHi:     s.Float(obs.SpeedBandHi),
 
-		BufferReads:           s.BufReads,
-		BufferWrites:          s.BufWrites,
-		BufferHits:            s.BufHits,
-		BufferEvictions:       s.BufEvictions,
-		BufferDirtyWritebacks: s.BufDirtyWritebacks,
-		BufferLockFreeHits:    s.BufLockFreeHits,
-		FaultTrips:            s.FaultTrips,
+		BufferReads:           s.Uint(obs.BufReads),
+		BufferWrites:          s.Uint(obs.BufWrites),
+		BufferHits:            s.Uint(obs.BufHits),
+		BufferEvictions:       s.Uint(obs.BufEvictions),
+		BufferDirtyWritebacks: s.Uint(obs.BufDirtyWritebacks),
+		BufferLockFreeHits:    s.Uint(obs.BufLockFreeHits),
+		FaultTrips:            s.Uint(obs.FaultTrips),
 
-		EpochPins:               s.EpochPins,
-		SnapshotNodeHits:        s.SnapNodeHits,
-		SnapshotNodeMisses:      s.SnapNodeMisses,
-		SnapshotPublishes:       s.SnapPublishes,
-		SnapshotVersionsTrimmed: s.SnapVersionsTrimmed,
+		EpochPins:               s.Uint(obs.EpochPins),
+		SnapshotNodeHits:        s.Uint(obs.SnapNodeHits),
+		SnapshotNodeMisses:      s.Uint(obs.SnapNodeMisses),
+		SnapshotPublishes:       s.Uint(obs.SnapPublishes),
+		SnapshotVersionsTrimmed: s.Uint(obs.SnapVersionsTrimmed),
 
-		ChooseSubtreeDescents:   s.ChooseSubtree,
-		QueryNodeVisits:         s.NodeVisits,
-		QueryLeafEntriesScanned: s.LeafScans,
-		Splits:                  s.Splits,
-		ForcedReinserts:         s.ForcedReinserts,
-		Condenses:               s.Condenses,
-		OrphansReinserted:       s.OrphansReinserted,
-		ExpiredPurged:           s.ExpiredPurged,
-		SubtreesFreed:           s.SubtreesFreed,
+		ChooseSubtreeDescents:   s.Uint(obs.ChooseSubtree),
+		QueryNodeVisits:         s.Uint(obs.NodeVisits),
+		QueryLeafEntriesScanned: s.Uint(obs.LeafScans),
+		Splits:                  s.Uint(obs.Splits),
+		ForcedReinserts:         s.Uint(obs.ForcedReinserts),
+		Condenses:               s.Uint(obs.Condenses),
+		OrphansReinserted:       s.Uint(obs.OrphansReinserted),
+		ExpiredPurged:           s.Uint(obs.ExpiredPurged),
+		SubtreesFreed:           s.Uint(obs.SubtreesFreed),
 
-		BatchedUpdates: s.BatchedUpdates,
-		ShardVisits:    s.ShardVisits,
-		ShardsPruned:   s.ShardsPruned,
-		Rerouted:       s.Rerouted,
+		BatchedUpdates: s.Uint(obs.BatchedUpdates),
+		ShardVisits:    s.Uint(obs.ShardVisits),
+		ShardsPruned:   s.Uint(obs.ShardsPruned),
+		Rerouted:       s.Uint(obs.Rerouted),
 
-		ReshardRuns:         s.ReshardRuns,
-		ReshardDualApplied:  s.ReshardDualApplied,
-		ReshardBackfilled:   s.ReshardBackfilled,
-		ReshardSkew:         s.ReshardSkew,
-		ReshardChurn:        s.ReshardChurn,
-		ReshardCutoverStall: fromHist(s.ReshardCutoverStall),
+		ReshardRuns:         s.Uint(obs.ReshardRuns),
+		ReshardDualApplied:  s.Uint(obs.ReshardDualApplied),
+		ReshardBackfilled:   s.Uint(obs.ReshardBackfilled),
+		ReshardSkew:         s.Float(obs.ReshardSkew),
+		ReshardChurn:        s.Float(obs.ReshardChurn),
+		ReshardCutoverStall: fromHist(s.Hist(obs.ReshardCutoverStall)),
 
-		WALAppends:             s.WALAppends,
-		WALBytes:               s.WALBytes,
-		WALFsyncs:              s.WALFsyncs,
-		Checkpoints:            s.Checkpoints,
-		RecoveryReplayed:       s.RecoveryReplayed,
-		RecoveryDroppedExpired: s.RecoveryDroppedExpired,
-		ChecksumFailures:       s.ChecksumFailures,
-		RecoveryDuration:       fromHist(s.RecoveryDuration),
+		WALAppends:             s.Uint(obs.WALAppends),
+		WALBytes:               s.Uint(obs.WALBytes),
+		WALFsyncs:              s.Uint(obs.WALFsyncs),
+		Checkpoints:            s.Uint(obs.Checkpoints),
+		RecoveryReplayed:       s.Uint(obs.RecoveryReplayed),
+		RecoveryDroppedExpired: s.Uint(obs.RecoveryDroppedExpired),
+		ChecksumFailures:       s.Uint(obs.ChecksumFailures),
+		RecoveryDuration:       fromHist(s.Hist(obs.RecoveryDuration)),
 
-		LockWaitRead:  fromHist(s.LockWaitRead),
-		LockWaitWrite: fromHist(s.LockWaitWrite),
+		LockWaitRead:  fromHist(s.Hist(obs.LockWaitRead)),
+		LockWaitWrite: fromHist(s.Hist(obs.LockWaitWrite)),
+
+		snap: s,
 	}
-	for i := range s.Ops {
+	for i := range m.Ops {
+		op := obs.Op(i)
+		h := s.Hist(obs.OpDuration + obs.Hist(op))
 		m.Ops[i] = OpMetrics{
-			Op:           s.Ops[i].Op,
-			Count:        s.Ops[i].Count,
-			Errors:       s.Ops[i].Errors,
-			TotalSeconds: s.Ops[i].SumSeconds,
-			Buckets:      s.Ops[i].Buckets,
+			Op:           op.String(),
+			Count:        h.Count,
+			Errors:       s.Uint(obs.OpErrors + obs.Scalar(op)),
+			TotalSeconds: h.SumSeconds,
+			Buckets:      h.Buckets,
 		}
 	}
 	return m

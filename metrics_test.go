@@ -2,13 +2,115 @@ package rexptree
 
 import (
 	"bytes"
+	"flag"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the sharded exposition golden file")
+
+// histTimingRe matches the histogram sample lines whose values depend
+// on wall-clock timing: every cumulative bucket and every _sum.
+var histTimingRe = regexp.MustCompile(`^\S+(_bucket\{.*\}|_sum(\{.*\})?) \S+$`)
+
+// TestShardedExpositionGolden pins the multi-section exposition of a
+// ShardedTree — the aggregate under rexp_ and one section per shard —
+// after a fixed-seed workload on an in-memory, 3-shard,
+// speed-partitioned index: batched and single updates (some crossing a
+// speed band, so they re-route), deletes, every query type, and a live
+// reshard followed by more traffic on the new generation.  The
+// aggregation rules (summed, max and min gauges, front-end-only
+// families, the folded fan-out phases) all show in the file.
+// Histogram buckets and sums depend on timing and are dropped; their
+// counts are deterministic and stay.
+func TestShardedExpositionGolden(t *testing.T) {
+	opts := DefaultOptions()
+	opts.BufferPages = 12 // small enough that the pools evict and write back
+	s, err := OpenSharded(ShardedOptions{Options: opts, Shards: 3, Workers: 1, Partition: PartitionSpeed, SpeedBands: []float64{0.7, 1.4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	world := Rect{Hi: Vec{1000, 1000}}
+	if err := s.UpdateBatch(testWorkload(1500, 7), 0); err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range testWorkload(200, 8) {
+		r.Point.Time, r.Point.Expires = 1, 200
+		if err := s.Update(r.ID, r.Point, 1); err != nil {
+			t.Fatalf("update %d: %v", i, err)
+		}
+	}
+	for id := uint32(1); id <= 40; id += 3 {
+		if _, err := s.Delete(id, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries := func(now float64) {
+		t.Helper()
+		for q := 0; q < 4; q++ {
+			x := float64(q) * 200
+			r := Rect{Lo: Vec{x, x}, Hi: Vec{x + 150, x + 150}}
+			if _, err := s.Timeslice(r, now+5, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Window(r, now, now+10, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Moving(r, Rect{Lo: Vec{x + 50, x}, Hi: Vec{x + 250, x + 150}}, now, now+20, now); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Nearest(Vec{x + 75, x + 75}, now+1, 5, now); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := s.Timeslice(world, now+1, now); err != nil {
+			t.Fatal(err)
+		}
+	}
+	queries(2)
+	if err := s.Reshard(ReshardSpec{Shards: 3, Policy: PartitionSpeed, SpeedBands: []float64{0.5, 1.2}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.UpdateBatch(testWorkload(300, 9), 3); err != nil {
+		t.Fatal(err)
+	}
+	queries(3)
+
+	var buf bytes.Buffer
+	if err := s.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	for _, line := range strings.SplitAfter(buf.String(), "\n") {
+		if !histTimingRe.MatchString(strings.TrimSuffix(line, "\n")) {
+			out.WriteString(line)
+		}
+	}
+	golden := filepath.Join("testdata", "sharded_exposition.golden")
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if out.String() != string(want) {
+		t.Errorf("sharded exposition differs from %s (run with -update after intended changes)\ngot:\n%s", golden, out.String())
+	}
+}
 
 func TestMetricsSnapshotDelta(t *testing.T) {
 	tr, err := Open(DefaultOptions())

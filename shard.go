@@ -131,6 +131,12 @@ type ShardedTree struct {
 	m    *obs.Metrics  // front-end registry: fan-out latencies, pruning counters
 	rec  *obs.Recorder // fan-out flight recorder; nil unless Options.FlightRecorder > 0
 
+	// batched counts the reports received through UpdateBatch: with the
+	// front end's update count, the drift detector's churn denominator.
+	// The shards count the reports they apply under the
+	// batched-updates family.
+	batched atomic.Uint64
+
 	manifestPath string // "" when memory-backed
 	basePath     string // ShardedOptions.Path
 	durability   Durability
@@ -483,8 +489,8 @@ func (s *ShardedTree) setSpeedGauges(g *generation, bands []float64) {
 		if i < len(bands) {
 			hi = bands[i]
 		}
-		t.m.SpeedBandLo.Set(lo)
-		t.m.SpeedBandHi.Set(hi)
+		t.m.SetFloat(obs.SpeedBandLo, lo)
+		t.m.SetFloat(obs.SpeedBandHi, hi)
 	}
 }
 
@@ -705,7 +711,7 @@ func (s *ShardedTree) update(id uint32, p Point, now float64, tc *QueryTrace) er
 			lr.fail(terr)
 		} else {
 			lr.applied.Add(1)
-			s.m.ReshardDualApplied.Inc()
+			s.m.Inc(obs.ReshardDualApplied)
 		}
 	}
 	return nil
@@ -729,7 +735,7 @@ func (s *ShardedTree) applyUpdate(g *generation, id uint32, p Point, now float64
 		}
 		g.part.forget(id)
 		if frontend {
-			s.m.Rerouted.Inc()
+			s.m.Inc(obs.Rerouted)
 		}
 	}
 	t := g.shards[target]
@@ -779,7 +785,7 @@ func (s *ShardedTree) delete(id uint32, now float64, tc *QueryTrace) (bool, erro
 			lr.fail(terr)
 		} else {
 			lr.applied.Add(1)
-			s.m.ReshardDualApplied.Inc()
+			s.m.Inc(obs.ReshardDualApplied)
 		}
 	}
 	return removed, err
@@ -821,7 +827,7 @@ func (s *ShardedTree) UpdateBatch(batch []Report, now float64) error {
 	err := s.updateBatch(batch, now, tc)
 	d := time.Since(start)
 	s.m.ObserveOp(obs.OpBatch, d, err)
-	s.m.BatchedUpdates.Add(uint64(len(batch)))
+	s.batched.Add(uint64(len(batch)))
 	tc.finishRecord(s.rec, len(batch), d, err)
 	return err
 }
@@ -876,7 +882,7 @@ func (s *ShardedTree) updateBatch(batch []Report, now float64, tc *QueryTrace) e
 			lr.fail(terr)
 		} else {
 			lr.applied.Add(uint64(len(batch)))
-			s.m.ReshardDualApplied.Add(uint64(len(batch)))
+			s.m.Add(obs.ReshardDualApplied, uint64(len(batch)))
 		}
 	}
 	return err
@@ -932,7 +938,7 @@ func (s *ShardedTree) applyBatch(g *generation, batch []Report, now float64, tc 
 			}
 			g.part.forget(id)
 			if frontend {
-				s.m.Rerouted.Inc()
+				s.m.Inc(obs.Rerouted)
 			}
 		}
 		return nil
@@ -994,8 +1000,8 @@ func (s *ShardedTree) query(q geom.Query, op obs.Op, now float64, tc *QueryTrace
 		}
 	}
 	tc.endAt(ri)
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(uint64(len(g.shards)) - visits)
+	s.m.Add(obs.ShardVisits, visits)
+	s.m.Add(obs.ShardsPruned, uint64(len(g.shards))-visits)
 
 	type spanBlock struct{ shard, queue, lock, trav int }
 	blocks := make([]spanBlock, len(g.shards))
@@ -1186,7 +1192,7 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64, tc *Query
 		tc.endAt(sh)
 		tc.visitedShard(o.i, sh, ti, len(rs))
 		if err != nil {
-			s.m.ShardVisits.Add(visits)
+			s.m.Add(obs.ShardVisits, visits)
 			return nil, err
 		}
 		for _, r := range rs {
@@ -1208,8 +1214,8 @@ func (s *ShardedTree) nearest(pos Vec, at float64, k int, now float64, tc *Query
 			cands = cands[:k]
 		}
 	}
-	s.m.ShardVisits.Add(visits)
-	s.m.ShardsPruned.Add(pruned)
+	s.m.Add(obs.ShardVisits, visits)
+	s.m.Add(obs.ShardsPruned, pruned)
 	out := make([]Result, len(cands))
 	for i, c := range cands {
 		out[i] = c.r
@@ -1310,37 +1316,21 @@ func (s *ShardedTree) Stats() Stats {
 }
 
 // snapshots freezes the aggregate and per-shard registries.  The
-// aggregate sums every shard's counters, gauges and lock-wait
-// histograms, while its per-operation histograms and the partitioning
-// counters (shard visits, prunes, re-routes) come from the front-end
-// registry: they describe the whole fan-out including the merge.  The
-// live-reshard families are front-end-only too: the reshard is a
-// whole-index operation, not a per-shard one.
+// aggregate folds the shard registries and the front end's under each
+// family's aggregation rule (see obs.Aggregate): the per-operation
+// histograms, the partitioning counters (shard visits, prunes,
+// re-routes) and the live-reshard families come from the front end,
+// which measures the whole fan-out including the merge, and the
+// front end's fan-out phases (queue_wait, merge) fold into the summed
+// shard phases.
 func (s *ShardedTree) snapshots() (agg obs.Snapshot, shards []obs.Snapshot) {
 	g := s.pin()
 	defer g.unpin()
 	shards = make([]obs.Snapshot, len(g.shards))
 	for i, t := range g.shards {
 		shards[i] = t.snapshot()
-		agg = agg.Add(shards[i])
 	}
-	front := s.m.Snapshot()
-	agg.Ops = front.Ops
-	agg.ShardVisits = front.ShardVisits
-	agg.ShardsPruned = front.ShardsPruned
-	agg.Rerouted = front.Rerouted
-	agg.ReshardRuns = front.ReshardRuns
-	agg.ReshardDualApplied = front.ReshardDualApplied
-	agg.ReshardBackfilled = front.ReshardBackfilled
-	agg.ReshardSkew = front.ReshardSkew
-	agg.ReshardChurn = front.ReshardChurn
-	agg.ReshardCutoverStall = front.ReshardCutoverStall
-	// The fan-out phases (queue_wait, merge) are observed only by the
-	// front-end registry; fold them into the summed shard phases.
-	for p := range agg.Phases {
-		agg.Phases[p] = agg.Phases[p].Add(front.Phases[p])
-	}
-	return agg, shards
+	return obs.Aggregate(s.m.Snapshot(), shards), shards
 }
 
 // Metrics returns the aggregate instrumentation snapshot: summed
@@ -1366,15 +1356,7 @@ func (s *ShardedTree) ShardMetrics(i int) Metrics {
 // every series.
 func (s *ShardedTree) WriteMetrics(w io.Writer) error {
 	agg, shards := s.snapshots()
-	if err := obs.WriteSnapshotPrefix(w, agg, obs.DefaultPrefix); err != nil {
-		return err
-	}
-	for i, snap := range shards {
-		if err := obs.WriteSnapshotPrefix(w, snap, fmt.Sprintf("%s_shard%d", obs.DefaultPrefix, i)); err != nil {
-			return err
-		}
-	}
-	return nil
+	return obs.WriteSharded(w, agg, shards)
 }
 
 // MetricsHandler returns an http.Handler serving WriteMetrics for

@@ -79,14 +79,14 @@ type Tree struct {
 func (tr *Tree) lock() {
 	start := time.Now()
 	tr.mu.Lock()
-	tr.m.LockWaitWrite.Observe(time.Since(start))
+	tr.m.Observe(obs.LockWaitWrite, time.Since(start))
 }
 
 // rlock takes the shared lock, recording the wait time.
 func (tr *Tree) rlock() {
 	start := time.Now()
 	tr.mu.RLock()
-	tr.m.LockWaitRead.Observe(time.Since(start))
+	tr.m.Observe(obs.LockWaitRead, time.Since(start))
 }
 
 // Open creates a tree with the given options.  When Options.Path names
@@ -760,14 +760,14 @@ func (tr *Tree) updateBatch(batch []Report, now float64, tc *QueryTrace) error {
 			tr.t.EndBatch()
 			tc.endAt(ai)
 			tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-			tr.m.BatchedUpdates.Add(uint64(i))
+			tr.m.Add(obs.BatchedUpdates, uint64(i))
 			return err
 		}
 	}
 	tr.t.EndBatch()
 	tc.endAt(ai)
 	tc.addMeasured("version-publish", tr.t.LastPublishNanos())
-	tr.m.BatchedUpdates.Add(uint64(len(batch)))
+	tr.m.Add(obs.BatchedUpdates, uint64(len(batch)))
 	if tr.wal != nil {
 		// Group commit: the whole batch rides on one durability point.
 		return tr.walCommit(tc)
